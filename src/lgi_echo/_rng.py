@@ -24,6 +24,13 @@ STREAM_FATES = 6
 STREAM_NOISE = 7
 STREAM_SCENARIO = 8
 
+# Version of the draw layout: which draws each consumer takes from its
+# streams, and in what order.  The configuration digest covers it, so a
+# digest never promises bytes from another layout; bump it with any
+# change that moves a draw.  Layout 1 drew one uniform per photon-source
+# trial; layout 2 draws the geometric gaps between occupied trials.
+STREAM_LAYOUT = 2
+
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1
 

@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 from .lgi import ExcitationState
 from .photons import MemoryConfig, SourceParams, paper_source
 from .quantum import Channel
+from ._rng import STREAM_LAYOUT
 
 SCENARIOS = (
     "lgi_envelope",
@@ -212,13 +213,15 @@ class ScenarioConfig:
 
         Where the files land (output section) and how the work is split
         (statistics.workers) must not change a single output byte, so
-        they are excluded: equal digests promise byte-identical
-        artifacts.
+        they are excluded; the random-stream layout version decides the
+        bytes as much as the seed does, so it is included.  Equal digests
+        promise byte-identical artifacts.
         """
         doc = self.to_document()
         del doc["output"]
         doc["statistics"] = {k: v for k, v in doc["statistics"].items()
                              if k != "workers"}
+        doc["stream_layout"] = STREAM_LAYOUT
         compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(compact.encode()).hexdigest()
 

@@ -11,9 +11,11 @@ periods away.
 
 Trials are generated in fixed-size chunks with per-chunk random
 streams, so any worker partition of the trial range produces the same
-clicks; noise clicks come from dedicated global streams.  Only trials
-inside a herald neighbourhood can contribute to the histogram, so the
-per-trial work outside those windows is a single occupancy scan.
+clicks; noise clicks come from dedicated global streams.  Every stage
+costs in proportion to events, not trials: each chunk draws the
+geometric gaps between its occupied trials, fates are drawn only for
+pairs inside a herald neighbourhood, and the fold pairs each click
+with the few heralds of its own neighbourhood.
 """
 
 import math
@@ -27,16 +29,14 @@ from .afc import CombSpec, echo_efficiency, retrieve_polarization
 from .errors import ConfigurationError, DomainError, InvariantViolation, UndefinedEstimateError
 from .lgi import ExcitationState
 from .quantum import PolarState, born_probability
-from ._kernels import fold_coincidences
 from ._rng import stream, STREAM_FATES, STREAM_NOISE, STREAM_PIPELINE
 
 # Trials per generation chunk.  Fixed: chunk boundaries define the
 # random streams, so changing this reshuffles every simulated run.
 _CHUNK = 1 << 18
 
-# Trial-space block size for folding very long runs without holding a
-# dense herald mask over the whole run.
-_FOLD_BLOCK = 1 << 22
+# Clicks folded at once; bounds the click-herald pair arrays of the fold.
+_FOLD_CLICKS = 1 << 18
 
 # Coincidence window widths (transmitted pulse / retrieved echo).
 TRANSMITTED_WINDOW = 2e-9
@@ -242,6 +242,9 @@ class CoincidenceHistogram:
         n_lo, n_hi = self.noise_window
         if s_hi > n_lo and n_hi > s_lo:
             raise InvariantViolation("signal and noise windows must be disjoint")
+        bins = self.bin_width
+        if round((n_hi - n_lo) / bins) != round((s_hi - s_lo) / bins):
+            raise InvariantViolation("signal and noise windows must span equally many bins")
         if self.n_heralds < 0 or self.n_trials < 1:
             raise InvariantViolation("n_heralds must be >= 0 and n_trials >= 1")
         object.__setattr__(self, "counts", c)
@@ -249,13 +252,41 @@ class CoincidenceHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def window_counts(self, window: Tuple[float, float]) -> int:
-        """Total counts in [start, end); the bounds snap to bin edges."""
-        i0 = max(0, int(round(window[0] / self.bin_width)))
-        i1 = min(self.counts.size, int(round(window[1] / self.bin_width)))
+    def _window_bins(self, window: Tuple[float, float]) -> Tuple[int, int]:
+        """Bin range [i0, i1) of a window, before clipping to the histogram.
+
+        The start snaps to the nearest bin edge and the width to a whole
+        number of bins, so windows of equal width cover equally many
+        bins wherever their edges fall.
+        """
+        i0 = int(round(window[0] / self.bin_width))
+        return i0, i0 + int(round((window[1] - window[0]) / self.bin_width))
+
+    def g2_windows(self) -> Tuple[Tuple[int, int], ...]:
+        """Bin ranges of the signal window and of its offset windows.
+
+        The signal window is snapped once; offset window m (m = 0 ..
+        noise_periods - 1) is that bin range moved by the noise window's
+        displacement plus m periods, each rounded to whole bins, so every
+        window covers the same number of bins.
+        """
+        i0, i1 = self._window_bins(self.signal_window)
+        first = int(round((self.noise_window[0] - self.signal_window[0]) / self.bin_width))
+        step = int(round(self.period / self.bin_width))
+        shifts = [first + m * step for m in range(self.noise_periods)]
+        return ((i0, i1),) + tuple((i0 + d, i1 + d) for d in shifts)
+
+    def _bin_sum(self, i0: int, i1: int) -> Tuple[int, int]:
+        """(counts, bins) of the part of [i0, i1) inside the histogram."""
+        i0, i1 = max(0, i0), min(self.counts.size, i1)
         if i1 <= i0:
-            return 0
-        return int(self.counts[i0:i1].sum())
+            return 0, 0
+        return int(self.counts[i0:i1].sum()), i1 - i0
+
+    def window_counts(self, window: Tuple[float, float]) -> int:
+        """Total counts in window; the start snaps to the nearest bin edge
+        and the width to a whole number of bins."""
+        return self._bin_sum(*self._window_bins(window))[0]
 
     def to_csv(self, path, header_comment: str = "") -> None:
         """Write `bin_start_ns,count` rows; optional leading comment."""
@@ -354,22 +385,45 @@ def _with_extinction(p: float, ratio: float) -> float:
 # simulation
 # ---------------------------------------------------------------------------
 
+def _occupied(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
+    """Sorted positions in [0, size), each occupied with probability q.
+
+    Skip sampling: the gaps between consecutive occupied positions are
+    geometric with success q, so the cost scales with the number of
+    occupied positions, not with size.
+    """
+    if q <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    # one batch covers the chunk unless the count runs six sigma high
+    mean = size * q
+    batch = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    parts = []
+    last = -1
+    while last < size:
+        gaps = rng.geometric(q, batch)
+        # any gap past the chunk ends it; the cap keeps the sums finite
+        np.minimum(gaps, size + 1, out=gaps)
+        pos = last + np.cumsum(gaps)
+        parts.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(parts)
+    return pos[:np.searchsorted(pos, size)]
+
+
 def _scan_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
                 start: int, size: int):
     """Pair occupancy and heralds for one trial chunk."""
     rng = stream(seed, STREAM_PIPELINE, base_index | chunk)
     p = source.pair_probability
     if source.statistics == "bernoulli":
-        mult = (rng.random(size) < p).astype(np.int64)
+        local = _occupied(rng, size, p)
+        mult = np.ones(local.size, dtype=np.int64)
     else:
-        if p == 0.0:
-            mult = np.zeros(size, dtype=np.int64)
-        else:
-            # thermal occupancy: geometric on {0, 1, ...} with mean p
-            mult = rng.geometric(1.0 / (1.0 + p), size).astype(np.int64) - 1
-            np.clip(mult, 0, 16, out=mult)
-    local = np.nonzero(mult)[0]
-    mult = mult[local]
+        # thermal: P(n) = p^n / (1+p)^(n+1), so a trial is occupied with
+        # probability p/(1+p) and, by memorylessness, an occupied trial
+        # holds a geometric number of pairs on {1, 2, ...}
+        local = _occupied(rng, size, p / (1.0 + p))
+        mult = rng.geometric(1.0 / (1.0 + p), local.size)
     p_herald = 1.0 - (1.0 - source.heralding_efficiency) ** mult
     heralded = rng.random(local.size) < p_herald
     trials = start + local
@@ -393,42 +447,33 @@ def _fate_chunk(seed: int, base_index: int, chunk: int, trials, mult,
     return click_trials, times, cat
 
 
-def _fold_all(click_trials, click_times, herald_trials, n_trials: int,
-              period: float, bin_width: float, n_bins: int, max_lag: int):
-    """Fold clicks against heralds, blocking the trial space as needed."""
-    if click_trials.size == 0 or herald_trials.size == 0:
-        return np.zeros(n_bins, dtype=np.int64)
-    if n_trials <= _FOLD_BLOCK:
-        mask = np.zeros(n_trials, dtype=np.uint8)
-        mask[herald_trials] = 1
-        return fold_coincidences(
-            click_trials, click_times, mask, period, bin_width, n_bins, max_lag
-        )
-    order = np.argsort(click_trials, kind="stable")
-    trials_sorted = click_trials[order]
-    times_sorted = click_times[order]
-    out = np.zeros(n_bins, dtype=np.int64)
-    for b0 in range(0, n_trials, _FOLD_BLOCK):
-        b1 = min(b0 + _FOLD_BLOCK, n_trials)
-        lo = np.searchsorted(trials_sorted, b0, side="left")
-        hi = np.searchsorted(trials_sorted, b1, side="left")
-        if hi == lo:
-            continue
-        base = max(0, b0 - max_lag)
-        h_lo = np.searchsorted(herald_trials, base, side="left")
-        h_hi = np.searchsorted(herald_trials, b1, side="left")
-        mask = np.zeros(b1 - base, dtype=np.uint8)
-        mask[herald_trials[h_lo:h_hi] - base] = 1
-        out += fold_coincidences(
-            trials_sorted[lo:hi] - base,
-            times_sorted[lo:hi],
-            mask,
-            period,
-            bin_width,
-            n_bins,
-            max_lag,
-        )
-    return out
+def _fold_heralds(click_trials, click_times, click_cats, heralds, n_cats: int,
+                  period: float, bin_width: float, n_bins: int, max_lag: int):
+    """Histogram click-herald delays per click category.
+
+    A click at in-trial time t in trial i pairs with every herald of the
+    trials i - max_lag .. i; a herald m trials back gives the delay
+    t + m * period, binned as floor(delay / bin_width), and out-of-range
+    bins are dropped.  heralds must be sorted and unique.  Clicks are
+    taken in blocks, so the pair arrays stay bounded on long runs.
+    Returns (n_cats, n_bins) int64 counts.
+    """
+    out = np.zeros(n_cats * n_bins, dtype=np.int64)
+    for b0 in range(0, click_trials.size, _FOLD_CLICKS):
+        block = slice(b0, b0 + _FOLD_CLICKS)
+        trials = click_trials[block]
+        lo = np.searchsorted(heralds, trials - max_lag, side="left")
+        n = np.searchsorted(heralds, trials, side="right") - lo
+        click = np.repeat(np.arange(trials.size), n)
+        # herald of each pair: its click's first herald plus its rank
+        rank = np.arange(click.size) - np.repeat(np.cumsum(n) - n, n)
+        m = trials[click] - heralds[lo[click] + rank]
+        delay = click_times[block][click] + m * period
+        idx = np.floor(delay / bin_width).astype(np.int64)
+        ok = (idx >= 0) & (idx < n_bins)
+        cats = click_cats[block][click[ok]]
+        out += np.bincount(cats * n_bins + idx[ok], minlength=out.size)
+    return out.reshape(n_cats, n_bins)
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
@@ -528,15 +573,21 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     rng_noise = stream(seed, STREAM_NOISE, run_index)
     lam = duration_trials * period * source.dark_rate
     n_false = rng_noise.poisson(lam)
-    false_heralds = np.sort(rng_noise.integers(0, duration_trials, n_false))
+    false_heralds = rng_noise.integers(0, duration_trials, n_false)
+    # Noise trials are sorted so the fold looks up heralds in order, which
+    # is several times faster; the times are i.i.d. and drawn apart from
+    # the trials, so pairing them with the sorted trials stays uniform.
     n_dark = rng_noise.poisson(lam)
-    dark_trials = rng_noise.integers(0, duration_trials, n_dark)
+    dark_trials = np.sort(rng_noise.integers(0, duration_trials, n_dark))
     dark_times = rng_noise.random(n_dark) * period
     n_bg = rng_noise.poisson(duration_trials * period * source.background_rate)
-    bg_trials = rng_noise.integers(0, duration_trials, n_bg)
+    bg_trials = np.sort(rng_noise.integers(0, duration_trials, n_bg))
     bg_times = rng_noise.random(n_bg) * period
 
-    heralds = np.unique(np.concatenate([real_heralds, false_heralds]))
+    heralds = np.concatenate([real_heralds, false_heralds])
+    heralds.sort()
+    if heralds.size:
+        heralds = heralds[np.concatenate(([True], heralds[1:] != heralds[:-1]))]
 
     # --- pass 2: fates inside herald neighbourhoods --------------------
     if heralds.size and pair_trials.size:
@@ -547,46 +598,39 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
         active = np.zeros(pair_trials.size, dtype=bool)
     act_trials = pair_trials[active]
     act_mult = pair_mult[active]
-    act_chunk = act_trials // _CHUNK
+    # act_trials is sorted, so each chunk's trials form one contiguous run
+    cuts = np.flatnonzero(np.diff(act_trials // _CHUNK)) + 1
+    bounds = np.concatenate(([0], cuts, [act_trials.size]))
+    runs = list(zip(bounds[:-1], bounds[1:])) if act_trials.size else []
 
-    def fates(c):
-        sel = act_chunk == c
+    def fates(run):
+        a, b = run
         return _fate_chunk(
-            seed, base_index, c, act_trials[sel], act_mult[sel],
-            cum_probs, centers, sigmas, period,
+            seed, base_index, int(act_trials[a]) // _CHUNK, act_trials[a:b],
+            act_mult[a:b], cum_probs, centers, sigmas, period,
         )
 
-    chunk_ids = np.unique(act_chunk)
     if workers == 1:
-        fated = [fates(c) for c in chunk_ids]
+        fated = [fates(r) for r in runs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fated = list(pool.map(fates, chunk_ids))
-    if fated:
-        sig_trials = np.concatenate([f[0] for f in fated])
-        sig_times = np.concatenate([f[1] for f in fated])
-        sig_cats = np.concatenate([f[2] for f in fated])
-    else:
-        sig_trials = np.empty(0, dtype=np.int64)
-        sig_times = np.empty(0)
-        sig_cats = np.empty(0, dtype=np.int64)
+            fated = list(pool.map(fates, runs))
 
-    # --- fold per category ---------------------------------------------
+    # --- fold every click category in one herald-driven pass ----------
+    n_signal = 1 + len(orders)
+    click_trials = np.concatenate([f[0] for f in fated] + [dark_trials, bg_trials])
+    click_times = np.concatenate([f[1] for f in fated] + [dark_times, bg_times])
+    click_cats = np.concatenate(
+        [f[2] for f in fated]
+        + [np.full(n_dark, n_signal, dtype=np.int64),
+           np.full(n_bg, n_signal + 1, dtype=np.int64)]
+    )
     n_bins = int(round((noise_periods + 1) * period / bin_width))
+    folded = _fold_heralds(click_trials, click_times, click_cats, heralds,
+                           n_signal + 2, period, bin_width, n_bins, noise_periods)
     labels = ["transmitted"] + [f"echo{k}" for k in orders] + ["dark", "background"]
-    per_cat = []
-    total = np.zeros(n_bins, dtype=np.int64)
-    for idx in range(1 + len(orders)):
-        sel = sig_cats == idx
-        h = _fold_all(sig_trials[sel], sig_times[sel], heralds,
-                      duration_trials, period, bin_width, n_bins, noise_periods)
-        per_cat.append(int(h.sum()))
-        total += h
-    for trials, times in ((dark_trials, dark_times), (bg_trials, bg_times)):
-        h = _fold_all(trials, times, heralds, duration_trials, period,
-                      bin_width, n_bins, noise_periods)
-        per_cat.append(int(h.sum()))
-        total += h
+    per_cat = [int(n) for n in folded.sum(axis=1)]
+    total = folded.sum(axis=0)
 
     if memory is None:
         sig_center = 0.0
@@ -618,29 +662,26 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
 def g2_cross(hist: CoincidenceHistogram) -> G2Result:
     """Cross-correlation from the signal window vs satellite windows.
 
-    g2 is the ratio of window-normalized rates; satellite windows are
-    the noise window repeated at multiples of the trial period.  The
-    Poisson error is g2 * sqrt(1/n_peak + 1/n_offset).
+    g2 is the ratio of the count rates per bin in the signal window and
+    in the offset windows of hist.g2_windows(), each normalized by the
+    bins it actually counted.  The Poisson error is
+    g2 * sqrt(1/n_peak + 1/n_offset).
     """
-    n_peak = hist.window_counts(hist.signal_window)
-    w_sig = hist.signal_window[1] - hist.signal_window[0]
-    w_noise = hist.noise_window[1] - hist.noise_window[0]
-    n_offset = 0
-    for m in range(hist.noise_periods):
-        shift = m * hist.period
-        n_offset += hist.window_counts(
-            (hist.noise_window[0] + shift, hist.noise_window[1] + shift)
-        )
+    peak, *offsets = hist.g2_windows()
+    n_peak, peak_bins = hist._bin_sum(*peak)
+    n_offset = offset_bins = 0
+    for window in offsets:
+        n, bins = hist._bin_sum(*window)
+        n_offset += n
+        offset_bins += bins
     if n_offset == 0:
         raise UndefinedEstimateError(
             "no counts in the offset windows; integrate more trials "
             "before estimating g2"
         )
-    rate_peak = n_peak / w_sig
-    rate_offset = n_offset / (w_noise * hist.noise_periods)
-    g2 = rate_peak / rate_offset
     if n_peak == 0:
         return G2Result(0.0, 0.0, 0, int(n_offset))
+    g2 = (n_peak / peak_bins) / (n_offset / offset_bins)
     sigma = g2 * math.sqrt(1.0 / n_peak + 1.0 / n_offset)
     return G2Result(float(g2), float(sigma), int(n_peak), int(n_offset))
 

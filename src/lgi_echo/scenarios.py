@@ -328,7 +328,9 @@ def _run_echo_trace(config: ScenarioConfig):
 def _run_tomography_demo(config: ScenarioConfig):
     stats = config.statistics
     physics = config.physics
-    rho_true = state_at(physics.excitation(), physics.storage_time).density()
+    stored = state_at(physics.excitation(), physics.storage_time)
+    # tomography reads the matrix in the H/V basis of its analyzers
+    rho_true = stored.to_basis("HV").density()
     if stats.shots_per_basis == 0:
         data = exact_tomography(rho_true)
     else:

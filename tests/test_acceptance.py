@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict
 lines; each prints `criterion N: PASS|FAIL -- detail` before asserting.
-The full gate takes about a minute, dominated by the billion-trial
-photon sweep in criterion 5.
+The full gate takes about 15 seconds on a 2-core machine.
 """
 
 import json
@@ -213,7 +212,10 @@ def test_criterion_9_determinism(tmp_path):
                                              "seed": 2}},
         "markovianity": {"statistics": {"shots_per_basis": 20_000,
                                         "n_bootstrap": 16}},
-        "g2_vs_storage": {"statistics": {"trials": 2_000_000, "seed": 6}},
+        # 1e8 ideal-chain trials put about 42 counts in the offset windows
+        # at 250 ns, the sparsest storage time, so g2 is undefined with
+        # probability exp(-42) ~ 6e-19 whatever the random-stream layout
+        "g2_vs_storage": {"statistics": {"trials": 100_000_000, "seed": 6}},
         "echo_trace": {},
         "tomography_demo": {"statistics": {"shots_per_basis": 20_000}},
     }

@@ -117,9 +117,10 @@ class TestRun:
         assert os.listdir(out) == ["envelope.csv"]
 
     def test_workers_override_accepted(self, tmp_path, capsys):
+        # about 42 offset counts expected at 250 ns: P(undefined g2) ~ 6e-19
         path = write_config(tmp_path, {
             "scenario": "g2_vs_storage",
-            "statistics": {"trials": 1_000_000}})
+            "statistics": {"trials": 100_000_000}})
         assert main(["run", "g2_vs_storage", "--config", path,
                      "--out", str(tmp_path / "out"),
                      "--workers", "2"]) == EXIT_OK

@@ -258,6 +258,13 @@ class TestDigest:
                    "statistics": {"seed": 0}})
         assert a.digest() == b.digest()
 
+    def test_stream_layout_changes_digest(self, monkeypatch):
+        # a digest never promises bytes drawn with another stream layout
+        cfg = parse({"scenario": "g2_vs_storage"})
+        before = cfg.digest()
+        monkeypatch.setattr("lgi_echo.config.STREAM_LAYOUT", 1)
+        assert cfg.digest() != before
+
     def test_canonical_json_is_sorted_and_parsable(self):
         cfg = parse({"scenario": "g2_vs_storage"})
         doc = json.loads(cfg.canonical_json())

@@ -3,9 +3,17 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
+
+from lgi_echo import photons
+from lgi_echo._kernels._fallback import fold_coincidences
+from lgi_echo._rng import STREAM_PIPELINE, stream
 
 from lgi_echo.errors import (
     ConfigurationError,
@@ -14,6 +22,9 @@ from lgi_echo.errors import (
     UndefinedEstimateError,
 )
 from lgi_echo.photons import (
+    _fold_heralds,
+    _occupied,
+    _scan_chunk,
     RETRIEVED_WINDOW,
     TRANSMITTED_WINDOW,
     CoincidenceHistogram,
@@ -145,11 +156,33 @@ class TestCoincidenceHistogram:
                 period=PERIOD, noise_periods=1, n_heralds=0, n_trials=1,
             )
 
+    def test_unequal_window_widths_rejected(self):
+        with pytest.raises(InvariantViolation):
+            CoincidenceHistogram(
+                bin_width=BIN, counts=np.zeros(400, dtype=np.int64),
+                signal_window=(0.0, 10 * NS), noise_window=(PERIOD, PERIOD + 12 * NS),
+                period=PERIOD, noise_periods=1, n_heralds=0, n_trials=1,
+            )
+
     def test_window_counts_snap_to_bins(self):
         hist = _flat_histogram(7, 3)
         assert hist.window_counts((0.9 * NS, 2.1 * NS)) == 7
         assert hist.window_counts((2.0 * NS, 4.0 * NS)) == 0
         assert hist.window_counts((5.0 * NS, 5.5 * NS)) == 0
+
+    @pytest.mark.parametrize("storage_time", [0.0, 50 * NS, 50e-9, 125e-9, 250e-9])
+    def test_g2_windows_cover_equal_bins(self, storage_time):
+        # the signal window snaps once and the offsets move it by whole
+        # periods, so no window gains or loses a bin to float rounding
+        memory = paper_memory(storage_time) if storage_time else None
+        hist = simulate_run(paper_source(), memory, None, 1000, seed=0)
+        windows = hist.g2_windows()
+        assert len(windows) == 1 + hist.noise_periods
+        widths = {i1 - i0 for i0, i1 in windows}
+        assert widths == {1 if memory is None else 5}
+        step = round(PERIOD / BIN)
+        assert [i0 for i0, _ in windows[1:]] == [
+            windows[0][0] + m * step for m in range(1, hist.noise_periods + 1)]
 
     def test_category_sum_matches_total(self):
         src = SourceParams(pair_probability=0.01)
@@ -369,6 +402,131 @@ class TestDeterminism:
         b = simulate_run(src, mem, None, 3_000_000, seed=6, workers=workers)
         assert np.array_equal(a.counts, b.counts)
         assert a.category_counts == b.category_counts
+
+
+# ---------------------------------------------------------------------------
+# skip sampling and the herald fold
+# ---------------------------------------------------------------------------
+
+def _chi2_pvalue(observed, expected):
+    """Pearson chi-square p-value; bins with expectation below 5 pooled
+    into their neighbour."""
+    obs, exp = [], []
+    o_acc = e_acc = 0.0
+    for o, e in zip(observed, expected):
+        o_acc += o
+        e_acc += e
+        if e_acc >= 5.0:
+            obs.append(o_acc)
+            exp.append(e_acc)
+            o_acc = e_acc = 0.0
+    obs[-1] += o_acc
+    exp[-1] += e_acc
+    obs, exp = np.array(obs), np.array(exp)
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    return float(stats.chi2.sf(chi2, obs.size - 1))
+
+
+class TestSkipSampling:
+    def test_occupancy_counts_are_binomial(self):
+        size, q, n = 400, 0.03, 4000
+        counts = np.array([_occupied(stream(11, STREAM_PIPELINE, k), size, q).size
+                           for k in range(n)])
+        ks = np.arange(counts.max() + 1)
+        observed = np.bincount(counts, minlength=ks.size)
+        expected = n * stats.binom.pmf(ks, size, q)
+        expected[-1] += n * stats.binom.sf(ks[-1], size, q)
+        assert _chi2_pvalue(observed, expected) > 1e-3
+
+    def test_occupied_positions_are_uniform_and_sorted(self):
+        size, q, n = 50, 0.2, 4000
+        hits = np.zeros(size)
+        for k in range(n):
+            pos = _occupied(stream(12, STREAM_PIPELINE, k), size, q)
+            assert np.all(np.diff(pos) > 0)
+            assert pos.size == 0 or (pos[0] >= 0 and pos[-1] < size)
+            hits[pos] += 1
+        assert _chi2_pvalue(hits, np.full(size, n * q)) > 1e-3
+
+    @pytest.mark.parametrize("q, expected", [(0.0, []), (1.0, list(range(7))),
+                                             (1e-300, [])])
+    def test_occupancy_extremes(self, q, expected):
+        assert _occupied(stream(0, STREAM_PIPELINE), 7, q).tolist() == expected
+
+    def test_thermal_multiplicities_are_geometric(self):
+        # P(n | n >= 1) = (1 - r) r^(n-1) with r = p / (1 + p); at p = 2,
+        # P(n > 16) = r^16 ~ 0.0015 would expose a cap on the multiplicity
+        p = 2.0
+        r = p / (1.0 + p)
+        # SourceParams caps the mean at 1; the scan reads only these fields
+        src = SimpleNamespace(pair_probability=p, statistics="thermal",
+                              heralding_efficiency=1.0)
+        mult = np.concatenate([_scan_chunk(src, 5, 0, c, 0, 1 << 14)[1]
+                               for c in range(8)])
+        assert mult.min() >= 1
+        ns = np.arange(1, 40)
+        observed = np.bincount(np.minimum(mult, ns[-1]), minlength=ns[-1] + 1)[1:]
+        expected = mult.size * (1.0 - r) * r ** (ns - 1)
+        expected[-1] = mult.size * r ** (ns[-1] - 1)
+        assert _chi2_pvalue(observed, expected) > 1e-3
+        assert np.count_nonzero(mult > 16) > 0
+
+    def test_thermal_run_independent_of_workers(self):
+        src = SourceParams(pair_probability=0.1, statistics="thermal")
+        mem = paper_memory()
+        runs = [simulate_run(src, mem, None, 3_000_000, seed=9, workers=w)
+                for w in (1, 2, 8)]
+        for other in runs[1:]:
+            assert other.counts.tobytes() == runs[0].counts.tobytes()
+            assert other.category_counts == runs[0].category_counts
+            assert other.n_heralds == runs[0].n_heralds
+
+
+_EDGE_TIMES = st.sampled_from([1e-12, PERIOD * (1.0 - 1e-12)])
+
+
+@st.composite
+def _fold_case(draw):
+    n_trials = draw(st.integers(1, 40))
+    trial = st.integers(0, n_trials - 1)
+    heralds = sorted(draw(st.sets(trial, max_size=n_trials)))
+    clicks = draw(st.lists(st.tuples(
+        trial,
+        st.one_of(_EDGE_TIMES, st.floats(1e-12, PERIOD * (1.0 - 1e-12))),
+        st.integers(0, 2)), max_size=60))
+    max_lag = draw(st.integers(1, 12))
+    bin_width = draw(st.sampled_from([BIN, 1e-9, 7e-9]))
+    block = draw(st.integers(1, 8))
+    return n_trials, heralds, clicks, max_lag, bin_width, block
+
+
+class TestHeraldFold:
+    @settings(max_examples=300, deadline=None)
+    @given(_fold_case())
+    def test_matches_dense_oracle(self, case):
+        n_trials, heralds, clicks, max_lag, bin_width, block = case
+        trials = np.array([c[0] for c in clicks], dtype=np.int64)
+        times = np.array([c[1] for c in clicks], dtype=np.float64)
+        cats = np.array([c[2] for c in clicks], dtype=np.int64)
+        n_bins = int(round((max_lag + 1) * PERIOD / bin_width))
+        with mock.patch.object(photons, "_FOLD_CLICKS", block):
+            got = _fold_heralds(trials, times, cats, np.array(heralds, dtype=np.int64),
+                                3, PERIOD, bin_width, n_bins, max_lag)
+        mask = np.zeros(n_trials, dtype=np.uint8)
+        mask[heralds] = 1
+        for c in range(3):
+            sel = cats == c
+            oracle = fold_coincidences(trials[sel], times[sel], mask, PERIOD,
+                                       bin_width, n_bins, max_lag)
+            assert np.array_equal(got[c], oracle)
+
+    def test_empty_inputs(self):
+        none = np.empty(0, dtype=np.int64)
+        one = np.array([3], dtype=np.int64)
+        for trials, heralds in ((none, one), (one, none), (none, none)):
+            got = _fold_heralds(trials, np.full(trials.size, 1e-9), trials * 0,
+                                heralds, 2, PERIOD, BIN, 400, 1)
+            assert got.shape == (2, 400) and got.sum() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """End-to-end scenario runs: artifacts, metrics, determinism, reports."""
 
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from lgi_echo import __version__
@@ -170,8 +172,9 @@ class TestMarkovianity:
 
 class TestG2VsStorage:
     def test_ideal_chain_small_run(self, tmp_path):
+        # about 42 offset counts expected at 250 ns: P(undefined g2) ~ 6e-19
         rep = run(tmp_path, {"scenario": "g2_vs_storage",
-                             "statistics": {"trials": 3_000_000, "seed": 6}})
+                             "statistics": {"trials": 100_000_000, "seed": 6}})
         assert rep.metric("all_nonclassical") is True
         assert rep.metric("g2_transmitted") > 100.0
         assert rep.metric("autocorr_bound") < 0.05
@@ -207,6 +210,20 @@ class TestTomographyDemo:
         assert rep.metric("trace_distance_to_truth") <= 1e-9
         assert rep.metric("psd") is True
         assert rep.metric("converged") is True
+
+    def test_reconstructs_the_stored_state_written_in_hv(self, tmp_path):
+        # cos(phi/2)|D> - i sin(phi/2)|A> with phi = 2 pi delta t is
+        # (e^{-i phi/2}|H> + e^{i phi/2}|V>)/sqrt(2) in the analyzer basis
+        rep = run(tmp_path, {"scenario": "tomography_demo", "defaults": "paper",
+                             "statistics": {"seed": 4}})
+        phi = 2.0 * math.pi * 5e6 * 125e-9
+        stored = 0.5 * np.array([[1.0, np.exp(-1j * phi)],
+                                 [np.exp(1j * phi), 1.0]])
+        rho = np.array([[complex(re, im) for re, im in row]
+                        for row in json.loads(read(rep, "reconstruction.json"))["rho"]])
+        dist = 0.5 * np.abs(np.linalg.eigvalsh(rho - stored)).sum()
+        assert dist < 0.02
+        assert rep.metric("trace_distance_to_truth") == pytest.approx(dist, abs=1e-9)
 
     def test_sampled_mode_artifacts(self, tmp_path):
         rep = run(tmp_path, {"scenario": "tomography_demo",
@@ -267,8 +284,9 @@ class TestOutputs:
         assert read(a, "envelope.csv") != read(b, "envelope.csv")
 
     def test_workers_do_not_change_bytes(self, tmp_path):
+        # about 42 offset counts expected at 250 ns: P(undefined g2) ~ 6e-19
         doc = {"scenario": "g2_vs_storage",
-               "statistics": {"trials": 2_000_000, "seed": 6}}
+               "statistics": {"trials": 100_000_000, "seed": 6}}
         a = run(tmp_path, dict(doc, statistics=dict(doc["statistics"],
                                                     workers=1)), subdir="a")
         b = run(tmp_path, dict(doc, statistics=dict(doc["statistics"],
