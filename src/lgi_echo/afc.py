@@ -1,5 +1,6 @@
 """Comb-structured atomic ensemble: spectrum sampling, Monte-Carlo
-dipole-sum echo emission, and polarization retrieval from the dual comb.
+dipole-sum echo traces, the closed-form echo efficiency, and
+polarization retrieval from the dual comb.
 
 A memory prepared with absorption teeth at spacing ``periodicity_delta``
 re-emits an absorbed photon as a collective echo at multiples of
@@ -8,18 +9,18 @@ a relative detuning, imprint a linearly growing phase between the H and
 V components of a stored photon; that phase is what the rest of the
 package measures.
 
-Frequencies are Hz and times are seconds everywhere in this module;
-CSV export converts times to ns.
+Frequencies are Hz and times are seconds everywhere in this module.
 """
 
+import cmath
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wofz
 
-from ._kernels import dipole_intensity
 from ._rng import STREAM_ENSEMBLE, stream
 from .errors import ConfigurationError, DomainError, InvariantViolation
 from .quantum import PolarState
@@ -33,6 +34,10 @@ _ECHO_FWHM_FACTOR = 0.886
 
 # times-per-task granularity for parallel dipole sums
 _TRACE_SLICE = 256
+
+# Cap on the size of the (times x atoms) phase block materialized at
+# once; keeps peak memory near 64 MB for double precision.
+_BLOCK_ELEMENTS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +144,6 @@ class EchoTrace:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "intensity", i)
 
-    def to_csv(self, path, header_comment: str = "") -> None:
-        """Write `time_ns,intensity` rows; optional leading comment line."""
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("time_ns,intensity")
-        for t, i in zip(self.times, self.intensity):
-            lines.append(f"{t * 1e9:.6f},{i:.9e}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -191,6 +185,37 @@ def sample_ensemble(spec: CombSpec, n_atoms: int, seed: int) -> AtomEnsemble:
 # ---------------------------------------------------------------------------
 # echo emission
 # ---------------------------------------------------------------------------
+
+def dipole_intensity(weights_sq, detunings, times):
+    """Squared magnitude of the collective dipole sum.
+
+    I(t) = | sum_j w_j^2 exp(i 2 pi delta_j t) |^2
+
+    Parameters
+    ----------
+    weights_sq : (n_atoms,) float64, per-atom absorption weights w_j^2
+    detunings : (n_atoms,) float64, per-atom detunings in Hz
+    times : (n_times,) float64, evaluation times in seconds
+
+    Returns
+    -------
+    (n_times,) float64 intensity, unnormalized.
+    """
+    weights_sq = np.ascontiguousarray(weights_sq, dtype=np.float64)
+    detunings = np.ascontiguousarray(detunings, dtype=np.float64)
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    n_atoms = detunings.shape[0]
+    out = np.empty(times.shape[0], dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // max(n_atoms, 1))
+    two_pi = 2.0 * np.pi
+    for start in range(0, times.shape[0], step):
+        t = times[start:start + step]
+        phase = two_pi * np.outer(t, detunings)
+        re = np.cos(phase) @ weights_sq
+        im = np.sin(phase) @ weights_sq
+        out[start:start + t.shape[0]] = re * re + im * im
+    return out
+
 
 def echo_trace(ensemble: AtomEnsemble, t_max: float, bin_width: float,
                workers: int = 1) -> EchoTrace:
@@ -271,35 +296,70 @@ def trace_fwhm(trace: EchoTrace, t_peak: float) -> float:
     return float(cross(+1) - cross(-1))
 
 
-def echo_efficiency(spec: CombSpec, storage_time: float, prefactor: float = 0.15,
-                    n_atoms: int = 20000, seed: int = 7) -> float:
+def _tooth_characteristic(sigma: float, half_width: float, t: float) -> float:
+    """E[cos(2 pi t eps)] for the tooth offsets eps that sample_ensemble draws.
+
+    eps is Gaussian with standard deviation sigma, clipped to [-a, a]
+    with a = half_width: the clipped tails sit on the two edges.
+    With omega = 2 pi t and z = (a + i sigma^2 omega)/(sigma sqrt 2),
+    the body is exp(-sigma^2 omega^2/2) Re erf(z), written through the
+    Faddeeva function w as
+    exp(-sigma^2 omega^2/2) - exp(-a^2/2 sigma^2) Re[exp(-i a omega) w(iz)],
+    which stays finite where exp(-sigma^2 omega^2/2) Re erf(z) overflows
+    to NaN (sigma omega above about 37).  Each clipped tail adds
+    erfc(a/(sigma sqrt 2))/2 cos(omega a).
+    """
+    if sigma == 0.0:
+        return 1.0
+    omega = 2.0 * math.pi * t
+    a = half_width
+    z = complex(a, sigma * sigma * omega) / (sigma * math.sqrt(2.0))
+    body = (math.exp(-0.5 * (sigma * omega) ** 2)
+            - math.exp(-0.5 * (a / sigma) ** 2)
+            * (cmath.exp(-1j * a * omega) * complex(wofz(1j * z))).real)
+    return body + math.erfc(a / (sigma * math.sqrt(2.0))) * math.cos(omega * a)
+
+
+def echo_efficiency(spec: CombSpec, storage_time: float,
+                    prefactor: float = 0.15) -> float:
     """Retrieval efficiency at a comb revival.
 
-    The comb-dephasing factor is the Monte-Carlo dipole intensity at
-    storage_time relative to an ideal zero-width-tooth comb (for which
-    the revival intensity is exactly 1); the configurable prefactor
-    absorbs optical depth and geometry.  If storage_time is not near a
-    revival k/periodicity_delta the near-zero off-peak value is still
-    returned, with a warning.
+    The comb-dephasing factor is |A(t)|^2, with A(t) the mean dipole
+    amplitude of the ensemble sample_ensemble draws: a fraction
+    f = background_depth/(optical_depth + background_depth) of ions flat
+    over the bandwidth B, the rest in equally weighted teeth m = -m_max
+    .. m_max, so that
+    A(t) = (1 - f) C(t) <cos 2 pi m delta t>_m + f sinc(pi B t),
+    where C is the characteristic function of the clipped Gaussian
+    tooth.  An ideal zero-width-tooth comb without background has
+    |A|^2 = 1 at every revival; at t = 1/delta Gaussian teeth give the
+    exp(-7/F^2) dephasing factor of finesse F (Afzelius et al., PRA 79,
+    052329, 2009).  The configurable prefactor absorbs optical depth
+    and geometry.  If storage_time is not near a revival k/delta the
+    near-zero off-peak value is still returned, with a warning.
     """
     if storage_time <= 0.0 or not math.isfinite(storage_time):
         raise DomainError(f"storage_time must be positive, got {storage_time}")
     if not 0.0 < prefactor <= 1.0:
         raise DomainError(f"prefactor must be in (0, 1], got {prefactor}")
-    k = round(storage_time * spec.periodicity_delta)
+    delta = spec.periodicity_delta
+    k = round(storage_time * delta)
     half_echo = 0.5 * _ECHO_FWHM_FACTOR / spec.bandwidth
-    if k < 1 or abs(storage_time - k / spec.periodicity_delta) > half_echo:
+    if k < 1 or abs(storage_time - k / delta) > half_echo:
         warnings.warn(
             f"storage time {storage_time * 1e9:.2f} ns is not near a comb revival; "
             "returning the off-peak intensity",
             stacklevel=2,
         )
-    ensemble = sample_ensemble(spec, n_atoms, seed)
-    w_sq = ensemble.weights * ensemble.weights
-    factor = float(
-        dipole_intensity(w_sq, ensemble.detunings, np.array([storage_time]))[0]
-    )
-    return prefactor * min(max(factor, 0.0), 1.0)
+    m_max = int(spec.bandwidth / 2.0 // delta)
+    m = np.arange(-m_max, m_max + 1)
+    teeth = float(np.mean(np.cos(2.0 * math.pi * m * delta * storage_time)))
+    tooth = _tooth_characteristic(spec.tooth_fwhm * _FWHM_TO_SIGMA, delta / 2.0,
+                                  storage_time)
+    x = math.pi * spec.bandwidth * storage_time
+    bg_fraction = spec.background_depth / (spec.optical_depth + spec.background_depth)
+    amplitude = (1.0 - bg_fraction) * tooth * teeth + bg_fraction * math.sin(x) / x
+    return prefactor * min(max(amplitude * amplitude, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +380,3 @@ def retrieve_polarization(state: PolarState, delta: float, storage_time: float,
     phase = 2.0 * math.pi * delta * storage_time + phase_plate
     return PolarState(s.amp0, s.amp1 * np.exp(1j * phase), "HV")
 
-
-def min_contributing_ions(comb_bandwidth: float, homogeneous_linewidth: float) -> int:
-    """Lower bound on distinct ions participating in the collective mode."""
-    if comb_bandwidth <= 0.0 or homogeneous_linewidth <= 0.0:
-        raise DomainError("bandwidth and linewidth must both be positive")
-    return math.ceil(comb_bandwidth / homogeneous_linewidth)

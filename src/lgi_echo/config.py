@@ -15,6 +15,8 @@ and its SHA-256 digest identifies a run configuration.
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -244,7 +246,11 @@ def _check_value(path: str, value, annotation):
     if annotation is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{path} must be a number, got {value!r}")
-        return float(value)
+        # json accepts NaN and +-Infinity, and integers past the float range
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if not math.isfinite(number):
+            raise ConfigurationError(f"{path} must be finite, got {value!r}")
+        return number
     if annotation is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"{path} must be an integer, got {value!r}")
@@ -285,6 +291,8 @@ def parse_config(text: str, scenario: Optional[str] = None) -> ScenarioConfig:
         raise ConfigurationError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ConfigurationError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("configuration must be a JSON object")
 

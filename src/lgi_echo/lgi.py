@@ -239,13 +239,3 @@ def violation_sigma(k: float, sigma: float) -> float:
         raise DomainError(f"sigma must be positive, got {sigma}")
     return (-1.0 - k) / sigma
 
-
-def write_lgi_csv(reports, path, header_comment: str = "") -> None:
-    """Write LgiReport rows under the standard CSV header."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append(LGI_CSV_HEADER)
-    lines.extend(r.to_csv_row() for r in reports)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

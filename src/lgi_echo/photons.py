@@ -66,8 +66,16 @@ class SourceParams:
     extinction_ratio: float = 1000.0
 
     def __post_init__(self):
-        for name in ("pair_probability", "heralding_efficiency",
-                     "transmission_signal", "detector_efficiency"):
+        p = self.pair_probability
+        if self.statistics == "thermal":
+            # a thermal source's pair_probability is a mean pair number
+            if not 0.0 <= p < math.inf:
+                raise ConfigurationError(
+                    f"pair_probability={p} must be finite and >= 0")
+        elif not 0.0 <= p <= 1.0:
+            raise ConfigurationError(f"pair_probability={p} outside [0, 1]")
+        for name in ("heralding_efficiency", "transmission_signal",
+                     "detector_efficiency"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name}={v} outside [0, 1]")
@@ -287,17 +295,6 @@ class CoincidenceHistogram:
         """Total counts in window; the start snaps to the nearest bin edge
         and the width to a whole number of bins."""
         return self._bin_sum(*self._window_bins(window))[0]
-
-    def to_csv(self, path, header_comment: str = "") -> None:
-        """Write `bin_start_ns,count` rows; optional leading comment."""
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("bin_start_ns,count")
-        for b, n in enumerate(self.counts):
-            lines.append(f"{b * self.bin_width * 1e9:.6f},{int(n)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

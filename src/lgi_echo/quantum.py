@@ -266,11 +266,3 @@ def apply_channel(channel: Channel, rho: DensityMatrix, duration: float) -> Dens
     m[1, 0] *= decay
     return DensityMatrix(m)
 
-
-def survival_probability(channel: Channel, duration: float) -> float:
-    """Probability that the carrier is still present after ``duration``."""
-    if duration < 0.0 or not np.isfinite(duration):
-        raise DomainError(f"duration must be finite and >= 0, got {duration}")
-    if channel.kind == "loss":
-        return float(np.exp(-channel.rate * duration))
-    return 1.0

@@ -9,6 +9,7 @@ comment `# lgi-echo v<version> scenario=<id> seed=<n>`.
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Tuple
@@ -99,9 +100,16 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    # a unique temp name, so concurrent runs into one directory never
+    # write through the same file
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with open(tmp, "w") as fh:
+        with os.fdopen(fd, "w") as fh:
+            # mkstemp creates mode 0600; give the artifact the mode open() would
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -9,7 +9,6 @@ linear inversion, so its likelihood can never fall below the linear
 estimate.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,29 +71,6 @@ class TomographyData:
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.shots_per_basis
-
-    def to_csv(self, path, header_comment: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["basis", "shots", "count"])
-            for label, count in zip(BASIS_LABELS, self.counts):
-                writer.writerow([label, self.shots_per_basis, repr(float(count))])
-
-    @classmethod
-    def from_csv(cls, path) -> "TomographyData":
-        rows = {}
-        shots = None
-        with open(path, newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        for row in csv.DictReader(lines):
-            rows[row["basis"]] = float(row["count"])
-            shots = int(row["shots"])
-        if set(rows) != set(BASIS_LABELS):
-            raise DomainError(f"expected bases {BASIS_LABELS}, got {sorted(rows)}")
-        counts = np.array([rows[label] for label in BASIS_LABELS])
-        return cls(shots, counts)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import json
+import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lgi_echo
 from lgi_echo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lgi_echo.config import parse_config
 
@@ -143,6 +147,23 @@ class TestRun:
         assert main(["run", "lgi_envelope", "--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, section, key, value", [
+        ("lgi_envelope", "statistics", "probe_time", math.nan),
+        ("g2_vs_storage", "source", "dark_rate", math.inf),
+        ("g2_vs_storage", "source", "trial_period", math.inf),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, scenario,
+                                       section, key, value):
+        # json accepts NaN and Infinity; they must not reach a scenario
+        path = write_config(tmp_path, {section: {key: value}})
+        out = tmp_path / "out"
+        assert main(["run", scenario, "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{section}.{key} must be finite" in err
+        assert not out.exists()
+
     def test_bad_seed_override_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, FAST_ENVELOPE)
         assert main(["run", "lgi_envelope", "--config", path,
@@ -158,3 +179,17 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(
             "runtime error [lgi_envelope]:")
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes about half a second to import
+    src = os.path.dirname(os.path.dirname(lgi_echo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lgi_echo.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -127,6 +127,16 @@ class TestValidation:
         assert cfg.physics.detuning == 2e6
         assert isinstance(cfg.physics.detuning, float)
 
+    def test_integer_past_float_range_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="source.dark_rate must be finite"):
+            parse({"scenario": "echo_trace", "source": {"dark_rate": 10**400}})
+
+    def test_integer_past_digit_limit_rejected(self):
+        text = '{"scenario": "echo_trace", "source": {"dark_rate": 1%s}}' % ("0" * 5000)
+        with pytest.raises(ConfigurationError, match="parse error"):
+            parse_config(text)
+
     def test_missing_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="no scenario named"):
             parse({"physics": {}})

@@ -1,22 +1,9 @@
-"""Backend parity: compiled extension vs pure-numpy fallback."""
-
-import os
-import subprocess
-import sys
+"""The two inner loops: the comb dipole sum and the dense fold oracle."""
 
 import numpy as np
-import pytest
 
-from lgi_echo import _kernels
-from lgi_echo._kernels import _fallback
-
-try:
-    from lgi_echo._kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None,
-                                reason="compiled extension not built")
+from fold_oracle import fold_coincidences
+from lgi_echo.afc import dipole_intensity
 
 PERIOD = 400e-9
 BIN = 2e-9
@@ -39,39 +26,14 @@ def fold_inputs(n_clicks, n_trials, seed):
 
 
 # ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-class TestBackendSelection:
-    def test_backend_name_exported(self):
-        assert _kernels.BACKEND in ("compiled", "fallback")
-
-    def test_fallback_name(self):
-        assert _fallback.BACKEND_NAME == "fallback"
-
-    @needs_core
-    def test_core_name(self):
-        assert _core.BACKEND_NAME == "compiled"
-
-    @needs_core
-    def test_env_var_forces_fallback(self):
-        env = dict(os.environ, LGI_ECHO_FORCE_FALLBACK="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from lgi_echo._kernels import BACKEND; print(BACKEND)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "fallback"
-
-
-# ---------------------------------------------------------------------------
 # dipole_intensity
 # ---------------------------------------------------------------------------
 
 class TestDipoleIntensity:
     def test_single_atom_constant(self):
         # one atom: |w^2 e^{i phi}|^2 = (w^2)^2 at every time
-        out = _fallback.dipole_intensity(
-            np.array([0.7]), np.array([3e6]), np.linspace(0, 1e-6, 11))
+        out = dipole_intensity(np.array([0.7]), np.array([3e6]),
+                               np.linspace(0, 1e-6, 11))
         assert np.allclose(out, 0.7 ** 2, rtol=1e-12)
 
     def test_two_atoms_beat(self):
@@ -79,7 +41,7 @@ class TestDipoleIntensity:
         d = 4e6
         w = np.array([1.0, 1.0])
         times = np.linspace(0.0, 500e-9, 101)
-        out = _fallback.dipole_intensity(w, np.array([d, -d]), times)
+        out = dipole_intensity(w, np.array([d, -d]), times)
         expect = 4.0 * np.cos(np.pi * 2 * d * times) ** 2
         assert np.allclose(out, expect, rtol=1e-9, atol=1e-12)
 
@@ -88,20 +50,11 @@ class TestDipoleIntensity:
         w, d, t = dipole_inputs(n_atoms=3000, n_times=3000, seed=1)
         phase = 2 * np.pi * np.outer(t, d)
         direct = (np.cos(phase) @ w) ** 2 + (np.sin(phase) @ w) ** 2
-        assert np.allclose(_fallback.dipole_intensity(w, d, t), direct,
-                           rtol=1e-9)
-
-    @needs_core
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_backends_agree(self, seed):
-        w, d, t = dipole_inputs(n_atoms=1500, n_times=700, seed=seed)
-        a = _fallback.dipole_intensity(w, d, t)
-        b = _core.dipole_intensity(w, d, t)
-        assert np.allclose(a, b, rtol=1e-9, atol=1e-12 * a.max())
+        assert np.allclose(dipole_intensity(w, d, t), direct, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# fold_coincidences
+# fold_coincidences (oracle)
 # ---------------------------------------------------------------------------
 
 class TestFoldCoincidences:
@@ -109,8 +62,8 @@ class TestFoldCoincidences:
         trials = np.array([0, 1, 2])
         times = np.array([1e-9, 1e-9, 1e-9])
         heralds = np.array([1, 0, 1], dtype=np.uint8)
-        out = _fallback.fold_coincidences(trials, times, heralds,
-                                          PERIOD, BIN, 10, 0)
+        out = fold_coincidences(trials, times, heralds,
+                                PERIOD, BIN, 10, 0)
         assert out[0] == 2 and out.sum() == 2
 
     def test_lagged_click_pairs_with_earlier_herald(self):
@@ -118,8 +71,8 @@ class TestFoldCoincidences:
         trials = np.array([3])
         times = np.array([0.5e-9])
         heralds = np.array([0, 1, 0, 0], dtype=np.uint8)
-        out = _fallback.fold_coincidences(trials, times, heralds,
-                                          PERIOD, BIN, 2000, 8)
+        out = fold_coincidences(trials, times, heralds,
+                                PERIOD, BIN, 2000, 8)
         assert out[400] == 1 and out.sum() == 1
 
     def test_out_of_range_bins_dropped(self):
@@ -127,16 +80,16 @@ class TestFoldCoincidences:
         times = np.array([0.5e-9])
         heralds = np.array([1, 1, 1], dtype=np.uint8)
         # lags 0,1,2 give delays at bins 0, 200, 400; only 300 bins kept
-        out = _fallback.fold_coincidences(trials, times, heralds,
-                                          PERIOD, BIN, 300, 8)
+        out = fold_coincidences(trials, times, heralds,
+                                PERIOD, BIN, 300, 8)
         assert out.sum() == 2
 
     def test_lag_cannot_reach_before_first_trial(self):
         trials = np.array([0])
         times = np.array([0.5e-9])
         heralds = np.array([1], dtype=np.uint8)
-        out = _fallback.fold_coincidences(trials, times, heralds,
-                                          PERIOD, BIN, 4000, 8)
+        out = fold_coincidences(trials, times, heralds,
+                                PERIOD, BIN, 4000, 8)
         assert out.sum() == 1  # only the m=0 pairing exists
 
     def test_counts_conserved(self):
@@ -146,28 +99,6 @@ class TestFoldCoincidences:
         lagged[trials[:, None] < np.arange(0, 9)[None, :]] = 0
         expect = int(lagged.sum())
         n_bins = int((9 * PERIOD) / BIN) + 10
-        out = _fallback.fold_coincidences(trials, times, heralds,
-                                          PERIOD, BIN, n_bins, 8)
+        out = fold_coincidences(trials, times, heralds,
+                                PERIOD, BIN, n_bins, 8)
         assert out.sum() == expect
-
-    @needs_core
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_backends_integer_exact(self, seed):
-        trials, times, heralds = fold_inputs(150_000, 40_000, seed)
-        args = (trials, times, heralds, PERIOD, BIN, 1800, 8)
-        a = _fallback.fold_coincidences(*args)
-        b = _core.fold_coincidences(*args)
-        assert np.array_equal(a, b)
-
-    @needs_core
-    def test_backends_exact_on_bin_boundaries(self):
-        # click times sitting exactly on bin edges and at 0.0: both
-        # backends must make the same floor decision
-        rng = np.random.default_rng(9)
-        trials = np.sort(rng.integers(0, 1000, 5000))
-        times = rng.integers(0, 200, 5000) * BIN
-        times[:50] = 0.0
-        heralds = (rng.random(1000) < 0.3).astype(np.uint8)
-        args = (trials, times, heralds, PERIOD, BIN, 1800, 8)
-        assert np.array_equal(_fallback.fold_coincidences(*args),
-                              _core.fold_coincidences(*args))

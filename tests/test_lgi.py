@@ -8,7 +8,6 @@ import pytest
 
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.lgi import (
-    LGI_CSV_HEADER,
     ExcitationState,
     LgiReport,
     autocorrelation,
@@ -17,7 +16,6 @@ from lgi_echo.lgi import (
     k_minimum,
     state_at,
     violation_sigma,
-    write_lgi_csv,
 )
 from lgi_echo.quantum import PolarState, born_probability
 
@@ -265,15 +263,3 @@ class TestLgiReport:
         doc = json.loads(rep.to_json())
         assert doc["t_ns"] == pytest.approx(62.5)
         assert doc["k_plus"] == pytest.approx(rep.k_plus)
-
-    def test_csv_export(self, tmp_path):
-        reports = [k_functionals(EX5, t) for t in (25 * NS, 50 * NS, 62.5 * NS)]
-        path = tmp_path / "lgi.csv"
-        write_lgi_csv(reports, path, header_comment="lgi-echo v0.1.0")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# lgi-echo v0.1.0"
-        assert lines[1] == LGI_CSV_HEADER
-        row = lines[4].split(",")
-        assert float(row[0]) == pytest.approx(62.5)
-        assert float(row[4]) == pytest.approx(-1.4725, abs=1e-4)
-        assert row[8] == "nan"

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from fold_oracle import fold_coincidences
 from lgi_echo import photons
-from lgi_echo._kernels._fallback import fold_coincidences
 from lgi_echo._rng import STREAM_PIPELINE, stream
 
 from lgi_echo.errors import (
@@ -90,6 +89,9 @@ class TestSourceParams:
         {"cycle_rate": 0.0},
         {"statistics": "poisson"},
         {"extinction_ratio": 0.0},
+        {"pair_probability": -0.1, "statistics": "thermal"},
+        {"pair_probability": math.inf, "statistics": "thermal"},
+        {"pair_probability": math.nan, "statistics": "thermal"},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         base = {"pair_probability": 0.01}
@@ -188,19 +190,6 @@ class TestCoincidenceHistogram:
         src = SourceParams(pair_probability=0.01)
         hist = simulate_run(src, paper_memory(), None, 500_000, seed=2)
         assert sum(dict(hist.category_counts).values()) == hist.total()
-
-    def test_csv_round_trip(self, tmp_path):
-        hist = _flat_histogram(7, 3)
-        path = tmp_path / "hist.csv"
-        hist.to_csv(path, header_comment="demo")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# demo"
-        assert lines[1] == "bin_start_ns,count"
-        rows = [line.split(",") for line in lines[2:]]
-        assert len(rows) == hist.counts.size
-        assert float(rows[0][0]) == 0.0
-        assert int(rows[0][1]) == 7
-        assert int(rows[200][1]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +447,7 @@ class TestSkipSampling:
         # P(n > 16) = r^16 ~ 0.0015 would expose a cap on the multiplicity
         p = 2.0
         r = p / (1.0 + p)
-        # SourceParams caps the mean at 1; the scan reads only these fields
-        src = SimpleNamespace(pair_probability=p, statistics="thermal",
-                              heralding_efficiency=1.0)
+        src = SourceParams(pair_probability=p, statistics="thermal")
         mult = np.concatenate([_scan_chunk(src, 5, 0, c, 0, 1 << 14)[1]
                                for c in range(8)])
         assert mult.min() >= 1

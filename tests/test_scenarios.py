@@ -10,7 +10,7 @@ import pytest
 from lgi_echo import __version__
 from lgi_echo.config import parse_config
 from lgi_echo.errors import DomainError, InvariantViolation
-from lgi_echo.scenarios import RunReport, emit_report, run_scenario
+from lgi_echo.scenarios import RunReport, _atomic_write, emit_report, run_scenario
 from lgi_echo.stationarity import DEFAULT_FAMILIES
 
 DIGEST = "0" * 64
@@ -303,6 +303,29 @@ class TestOutputs:
         with pytest.raises(OSError):
             run_scenario(parse_config(json.dumps(doc)))
         assert sorted(os.listdir(out)) == ["summary.json"]
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_stray_file(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(str(path), "\ud800")  # a lone surrogate cannot encode
+        assert os.listdir(tmp_path) == ["grid.csv"]
+        assert path.read_text() == "old\n"
+
+    def test_temp_name_is_not_shared(self, tmp_path):
+        # a concurrent run's temp file under the old fixed name survives
+        other = tmp_path / "grid.csv.tmp"
+        other.write_text("other run\n")
+        _atomic_write(str(tmp_path / "grid.csv"), "mine\n")
+        assert sorted(os.listdir(tmp_path)) == ["grid.csv", "grid.csv.tmp"]
+        assert other.read_text() == "other run\n"
+
+    def test_mode_matches_open(self, tmp_path):
+        _atomic_write(str(tmp_path / "a.csv"), "x\n")
+        (tmp_path / "b.csv").write_text("x\n")
+        assert (tmp_path / "a.csv").stat().st_mode == (tmp_path / "b.csv").stat().st_mode
 
 
 # ---------------------------------------------------------------------------

@@ -307,19 +307,13 @@ class TestInvarianceTest:
                 passed=False,
             )
 
-    def test_exports(self, tmp_path):
+    def test_exports(self):
         nt, nc = simulate_q_grid(EX5, DEFAULT_FAMILIES, PROBE_TIMES, 500, seed=11)
         rep = invariance_test(_taus(DEFAULT_FAMILIES), PROBE_TIMES, nt, nc)
         doc = json.loads(rep.to_json())
         assert doc["dof"] == rep.dof
         assert doc["passed"] is True
         assert len(doc["grid_ns"]) == 40
-        path = tmp_path / "grid.csv"
-        rep.to_csv(path, header_comment="invariance grid")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# invariance grid"
-        assert lines[1] == "tau_ns,t_ns,q_hat,sigma"
-        assert len(lines) == 2 + 40
 
 
 # ---------------------------------------------------------------------------

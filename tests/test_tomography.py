@@ -37,17 +37,6 @@ class TestTomographyData:
         with pytest.raises(InvariantViolation):
             TomographyData(100, np.array([-1.0, 0.0, 0.0, 0.0]))
 
-    def test_csv_round_trip(self, tmp_path):
-        data = TomographyData(5000, np.array([4000.0, 1000.0, 2500.0, 2600.0]))
-        path = tmp_path / "tomo.csv"
-        data.to_csv(path, header_comment="lgi-echo v0.1.0")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# lgi-echo")
-        assert lines[1] == "basis,shots,count"
-        back = TomographyData.from_csv(path)
-        assert back.shots_per_basis == 5000
-        assert np.array_equal(back.counts, data.counts)
-
 
 class TestSimulateTomography:
     def test_pure_h_state(self):
