@@ -24,12 +24,16 @@ STREAM_FATES = 6
 STREAM_NOISE = 7
 STREAM_SCENARIO = 8
 
-# Version of the draw layout: which draws each consumer takes from its
-# streams, and in what order.  The configuration digest covers it, so a
-# digest never promises bytes from another layout; bump it with any
-# change that moves a draw.  Layout 1 drew one uniform per photon-source
-# trial; layout 2 draws the geometric gaps between occupied trials.
-STREAM_LAYOUT = 2
+# Version of the simulated output: which draws each consumer takes from
+# its streams, in what order, and the model that turns them into
+# results.  The configuration digest covers it, so a digest never
+# promises bytes from another version; bump it with any change of the
+# output bytes at a fixed configuration document, whether a draw moved
+# or the model changed.  Layout 1 drew one uniform per photon-source
+# trial; layout 2 drew the geometric gaps between occupied trials;
+# layout 3 draws the gaps between heralded trials, in chunks of 2^22
+# trials, and pairs, fates and noise clicks only next to heralds.
+STREAM_LAYOUT = 3
 
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

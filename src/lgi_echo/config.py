@@ -23,7 +23,7 @@ from typing import Optional
 from .afc import CombSpec
 from .errors import ConfigurationError
 from .lgi import ExcitationState
-from .photons import MemoryConfig, SourceParams, paper_source
+from .photons import MAX_TRIALS, MemoryConfig, SourceParams, paper_source
 from .quantum import Channel
 from ._rng import STREAM_LAYOUT
 
@@ -138,8 +138,10 @@ class StatisticsConfig:
         for name in ("counts_per_point", "shots_per_basis", "n_bootstrap"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"statistics.{name} must be >= 0")
-        if self.trials < 1:
-            raise ConfigurationError("statistics.trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigurationError(
+                f"statistics.trials must be in [1, {MAX_TRIALS}], the longest "
+                f"run the photon pipeline supports")
         if self.workers < 1:
             raise ConfigurationError("statistics.workers must be >= 1")
         if self.probe_time < 0.0:
@@ -215,9 +217,10 @@ class ScenarioConfig:
 
         Where the files land (output section) and how the work is split
         (statistics.workers) must not change a single output byte, so
-        they are excluded; the random-stream layout version decides the
-        bytes as much as the seed does, so it is included.  Equal digests
-        promise byte-identical artifacts.
+        they are excluded.  The version STREAM_LAYOUT is included: it is
+        bumped with every change of the output bytes at a fixed document,
+        whether the random draws or the model changed, so equal digests
+        promise byte-identical artifacts across code versions too.
         """
         doc = self.to_document()
         del doc["output"]

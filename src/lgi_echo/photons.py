@@ -11,11 +11,13 @@ periods away.
 
 Trials are generated in fixed-size chunks with per-chunk random
 streams, so any worker partition of the trial range produces the same
-clicks; noise clicks come from dedicated global streams.  Every stage
-costs in proportion to events, not trials: each chunk draws the
-geometric gaps between its occupied trials, fates are drawn only for
-pairs inside a herald neighbourhood, and the fold pairs each click
-with the few heralds of its own neighbourhood.
+clicks; false heralds and noise clicks come from one stream per run.
+The pipeline works herald first, so its cost scales with heralds, not
+trials: each chunk draws the geometric gaps between its heralded
+trials, and only the trials up to noise_periods after a herald, whose
+clicks alone can pair with one, draw their other pairs, the photon
+fates and the dark and background clicks.  The fold then pairs each
+click with the few heralds of its own neighbourhood.
 """
 
 import math
@@ -33,7 +35,11 @@ from ._rng import stream, STREAM_FATES, STREAM_NOISE, STREAM_PIPELINE
 
 # Trials per generation chunk.  Fixed: chunk boundaries define the
 # random streams, so changing this reshuffles every simulated run.
-_CHUNK = 1 << 18
+_CHUNK = 1 << 22
+
+# Longest supported run: the chunk index fills the low 21 bits of each
+# stream index, the run index the bits above.
+MAX_TRIALS = _CHUNK << 21
 
 # Clicks folded at once; bounds the click-herald pair arrays of the fold.
 _FOLD_CLICKS = 1 << 18
@@ -407,31 +413,104 @@ def _occupied(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
     return pos[:np.searchsorted(pos, size)]
 
 
-def _scan_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
-                start: int, size: int):
-    """Pair occupancy and heralds for one trial chunk."""
-    rng = stream(seed, STREAM_PIPELINE, base_index | chunk)
-    p = source.pair_probability
+def _geometric0(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
+    """Draws of G(s): P(k) = (1 - s) s^k on {0, 1, ...}."""
+    if s == 0.0:
+        # a lossless herald or a silent source: nothing to draw
+        return np.zeros(size, dtype=np.int64)
+    return rng.geometric(1.0 - s, size) - 1
+
+
+def _heralded_pairs(rng: np.random.Generator, source: SourceParams, size: int):
+    """Sorted trials in [0, size) that herald, and the pairs each holds.
+
+    A trial heralds when any of its pairs does, each with probability
+    eta.  A Bernoulli trial holds one pair, so it heralds with
+    probability p * eta.  A thermal trial, P(n) = (1 - r) r^n with
+    r = p/(1+p), heralds with probability p*eta/(1+p*eta); walking its
+    pairs in order, the unheralded pairs before the first heralded one
+    number G(r(1-eta)) and, by memorylessness, those after it G(r).
+    """
+    p, eta = source.pair_probability, source.heralding_efficiency
     if source.statistics == "bernoulli":
-        local = _occupied(rng, size, p)
-        mult = np.ones(local.size, dtype=np.int64)
-    else:
-        # thermal: P(n) = p^n / (1+p)^(n+1), so a trial is occupied with
-        # probability p/(1+p) and, by memorylessness, an occupied trial
-        # holds a geometric number of pairs on {1, 2, ...}
-        local = _occupied(rng, size, p / (1.0 + p))
-        mult = rng.geometric(1.0 / (1.0 + p), local.size)
-    p_herald = 1.0 - (1.0 - source.heralding_efficiency) ** mult
-    heralded = rng.random(local.size) < p_herald
-    trials = start + local
-    return trials, mult, trials[heralded]
+        local = _occupied(rng, size, p * eta)
+        return local, np.ones(local.size, dtype=np.int64)
+    r = p / (1.0 + p)
+    local = _occupied(rng, size, p * eta / (1.0 + p * eta))
+    mult = (1 + _geometric0(rng, r * (1.0 - eta), local.size)
+            + _geometric0(rng, r, local.size))
+    return local, mult
 
 
-def _fate_chunk(seed: int, base_index: int, chunk: int, trials, mult,
-                cum_probs, centers, sigmas, period: float):
-    """Category and click time for each photon of the chunk's trials."""
+def _unheralded_pairs(rng: np.random.Generator, source: SourceParams, size: int):
+    """Sorted trials in [0, size) that hold pairs given that none heralded,
+    and the pairs each holds.
+
+    Given no herald, a Bernoulli trial holds its pair with probability
+    p(1-eta)/(1-p*eta); a thermal trial's pair number is geometric with
+    ratio s = r(1-eta), so it holds pairs with probability s and then
+    1 + G(s) of them.
+    """
+    p, eta = source.pair_probability, source.heralding_efficiency
+    if source.statistics == "bernoulli":
+        # p = eta = 1 heralds every trial
+        q = p * (1.0 - eta) / (1.0 - p * eta) if p * eta < 1.0 else 0.0
+        local = _occupied(rng, size, q)
+        return local, np.ones(local.size, dtype=np.int64)
+    s = p / (1.0 + p) * (1.0 - eta)
+    local = _occupied(rng, size, s)
+    return local, 1 + _geometric0(rng, s, local.size)
+
+
+def _windows(heralds: np.ndarray, reach: int, n_trials: int):
+    """The trials whose clicks can pair with a herald, as half-open pieces.
+
+    Takes the union of the windows [h, h + reach] over the sorted,
+    unique heralds, clipped to the run and split at chunk boundaries.
+    Returns (starts, ends), the pieces in trial order.
+    """
+    if heralds.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    ends = np.minimum(heralds + reach + 1, n_trials)
+    # ends never decrease: an interval opens at each herald past the end
+    # of the window before it, and closes where the window before the
+    # next opening herald ends
+    opens = np.flatnonzero(np.concatenate(([True], heralds[1:] > ends[:-1])))
+    starts = heralds[opens]
+    stops = ends[np.append(opens[1:] - 1, heralds.size - 1)]
+    # a chunk boundary inside interval i closes it and opens the next;
+    # boundaries inside one interval insert in order
+    cuts = np.arange(_CHUNK, n_trials, _CHUNK, dtype=np.int64)
+    i = np.searchsorted(starts, cuts) - 1
+    inside = (i >= 0) & (stops[i] > cuts)
+    cuts, i = cuts[inside], i[inside]
+    return np.insert(starts, i + 1, cuts), np.insert(stops, i, cuts)
+
+
+def _trials_at(positions: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Trial at each position of the pieces [starts, ends) laid end to end."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths)
+    piece = np.searchsorted(offsets, positions, side="right")
+    return positions + (starts - offsets + lengths)[piece]
+
+
+def _fate_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
+                starts, ends, herald_trials, herald_mult, cum_probs, centers,
+                sigmas, period: float):
+    """Category and click time of each photon in one chunk's window pieces.
+
+    The herald trials come with the pairs drawn with their heralds; the
+    other trials of the pieces draw theirs here, given that none
+    heralded, and draws landing on a herald trial are dropped.
+    """
     rng = stream(seed, STREAM_FATES, base_index | chunk)
-    photon_trials = np.repeat(trials, mult)
+    local, mult = _unheralded_pairs(rng, source, int((ends - starts).sum()))
+    trials = _trials_at(local, starts, ends)
+    fresh = ~np.isin(trials, herald_trials, assume_unique=True)
+    photon_trials = np.repeat(np.concatenate((herald_trials, trials[fresh])),
+                              np.concatenate((herald_mult, mult[fresh])))
     u = rng.random(photon_trials.size)
     cat = np.searchsorted(cum_probs, u, side="right")
     clicked = cat < centers.size
@@ -473,31 +552,12 @@ def _fold_heralds(click_trials, click_times, click_cats, heralds, n_cats: int,
     return out.reshape(n_cats, n_bins)
 
 
-def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
-                 analyzer: Optional[PolarState], duration_trials: int,
-                 seed: int, bin_width: float = 2e-9, noise_periods: int = 8,
-                 workers: int = 1, run_index: int = 0) -> CoincidenceHistogram:
-    """End-to-end counting simulation of one configuration.
-
-    memory=None sends every signal photon down the transmitted path;
-    analyzer=None removes the polarizer.  The histogram covers
-    (noise_periods + 1) trial periods of click-herald delay.
-    """
-    if duration_trials < 1:
-        raise DomainError("duration_trials must be >= 1")
-    if noise_periods < 1:
-        raise DomainError("noise_periods must be >= 1")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
-    if not 0 <= run_index < 2048:
-        raise DomainError("run_index must be in [0, 2048)")
-    base_index = run_index << 21
-    n_chunks = (duration_trials + _CHUNK - 1) // _CHUNK
-    if n_chunks > (1 << 21):
-        raise DomainError("duration_trials exceeds the supported run size")
+def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
+                analyzer: Optional[PolarState]):
+    """Echo orders and, per click path (transmitted, then each order),
+    the cumulative click probability, mean delay and delay spread of a
+    signal photon."""
     period = source.trial_period
-
-    # --- per-photon fate table ---------------------------------------
     eta_chain = source.transmission_signal * source.detector_efficiency
     if memory is None:
         transmission = 1.0
@@ -539,7 +599,6 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     click_probs = np.array(
         [pp * eta_chain * pol for pp, pol in zip(path_probs, p_polar)]
     )
-    cum_probs = np.cumsum(click_probs)
 
     if memory is None:
         sigma_in = 5e-9 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -549,78 +608,92 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
         echo_fwhm = 0.886 / memory.comb_h.bandwidth
         sigma_echo = math.hypot(sigma_in, echo_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0))))
         sigmas = np.array([sigma_in] + [sigma_echo] * len(orders))
-    centers = np.array(centers)
+    return orders, np.cumsum(click_probs), np.array(centers), sigmas
 
-    # --- pass 1: occupancy scan ---------------------------------------
-    def scan(c):
-        start = c * _CHUNK
-        size = min(_CHUNK, duration_trials - start)
-        return _scan_chunk(source, seed, base_index, c, start, size)
 
+def _map(fn, items, workers: int) -> list:
     if workers == 1:
-        scanned = [scan(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scanned = list(pool.map(scan, range(n_chunks)))
-    pair_trials = np.concatenate([s[0] for s in scanned])
-    pair_mult = np.concatenate([s[1] for s in scanned])
-    real_heralds = np.concatenate([s[2] for s in scanned])
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
-    # --- global noise streams -----------------------------------------
+
+def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
+                 analyzer: Optional[PolarState], duration_trials: int,
+                 seed: int, bin_width: float = 2e-9, noise_periods: int = 8,
+                 workers: int = 1, run_index: int = 0) -> CoincidenceHistogram:
+    """End-to-end counting simulation of one configuration.
+
+    memory=None sends every signal photon down the transmitted path;
+    analyzer=None removes the polarizer.  The histogram covers
+    (noise_periods + 1) trial periods of click-herald delay.
+    """
+    if duration_trials < 1:
+        raise DomainError("duration_trials must be >= 1")
+    if duration_trials > MAX_TRIALS:
+        raise DomainError(f"duration_trials must be <= {MAX_TRIALS}")
+    if noise_periods < 1:
+        raise DomainError("noise_periods must be >= 1")
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    if not 0 <= run_index < 2048:
+        raise DomainError("run_index must be in [0, 2048)")
+    base_index = run_index << 21
+    n_chunks = (duration_trials + _CHUNK - 1) // _CHUNK
+    period = source.trial_period
+    orders, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
+
+    # --- real heralds, each chunk from its own stream ------------------
+    def heralded(c):
+        start = c * _CHUNK
+        rng = stream(seed, STREAM_PIPELINE, base_index | c)
+        local, mult = _heralded_pairs(rng, source, min(_CHUNK, duration_trials - start))
+        return start + local, mult
+
+    real = _map(heralded, range(n_chunks), workers)
+
+    # --- false heralds and the herald windows --------------------------
     rng_noise = stream(seed, STREAM_NOISE, run_index)
-    lam = duration_trials * period * source.dark_rate
-    n_false = rng_noise.poisson(lam)
+    n_false = rng_noise.poisson(duration_trials * period * source.dark_rate)
     false_heralds = rng_noise.integers(0, duration_trials, n_false)
-    # Noise trials are sorted so the fold looks up heralds in order, which
-    # is several times faster; the times are i.i.d. and drawn apart from
-    # the trials, so pairing them with the sorted trials stays uniform.
-    n_dark = rng_noise.poisson(lam)
-    dark_trials = np.sort(rng_noise.integers(0, duration_trials, n_dark))
-    dark_times = rng_noise.random(n_dark) * period
-    n_bg = rng_noise.poisson(duration_trials * period * source.background_rate)
-    bg_trials = np.sort(rng_noise.integers(0, duration_trials, n_bg))
-    bg_times = rng_noise.random(n_bg) * period
-
-    heralds = np.concatenate([real_heralds, false_heralds])
+    heralds = np.concatenate([r[0] for r in real] + [false_heralds])
     heralds.sort()
     if heralds.size:
         heralds = heralds[np.concatenate(([True], heralds[1:] != heralds[:-1]))]
+    starts, ends = _windows(heralds, noise_periods, duration_trials)
+    chunks = starts // _CHUNK
 
-    # --- pass 2: fates inside herald neighbourhoods --------------------
-    if heralds.size and pair_trials.size:
-        pos = np.searchsorted(heralds, pair_trials - noise_periods, side="left")
-        near = heralds[np.minimum(pos, heralds.size - 1)]
-        active = (pos < heralds.size) & (near <= pair_trials)
-    else:
-        active = np.zeros(pair_trials.size, dtype=bool)
-    act_trials = pair_trials[active]
-    act_mult = pair_mult[active]
-    # act_trials is sorted, so each chunk's trials form one contiguous run
-    cuts = np.flatnonzero(np.diff(act_trials // _CHUNK)) + 1
-    bounds = np.concatenate(([0], cuts, [act_trials.size]))
-    runs = list(zip(bounds[:-1], bounds[1:])) if act_trials.size else []
+    # --- pairs and fates inside the windows, per chunk ------------------
+    # the pieces are in trial order, so each chunk's pieces form one run
+    cuts = np.flatnonzero(np.diff(chunks)) + 1
+    bounds = np.concatenate(([0], cuts, [chunks.size]))
+    runs = list(zip(bounds[:-1], bounds[1:])) if chunks.size else []
 
     def fates(run):
         a, b = run
-        return _fate_chunk(
-            seed, base_index, int(act_trials[a]) // _CHUNK, act_trials[a:b],
-            act_mult[a:b], cum_probs, centers, sigmas, period,
-        )
+        c = int(chunks[a])
+        return _fate_chunk(source, seed, base_index, c, starts[a:b], ends[a:b],
+                           *real[c], cum_probs, centers, sigmas, period)
 
-    if workers == 1:
-        fated = [fates(r) for r in runs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fated = list(pool.map(fates, runs))
+    fated = _map(fates, runs, workers)
+
+    # --- dark and background clicks inside the windows -----------------
+    # no click outside them pairs with a herald; positions are sorted so
+    # the fold looks up heralds in order, which is several times faster
+    size = int((ends - starts).sum())
+    noise = []
+    for rate in (source.dark_rate, source.background_rate):
+        n = rng_noise.poisson(rate * period * size)
+        positions = np.sort(rng_noise.integers(0, size, n))
+        noise.append((_trials_at(positions, starts, ends), rng_noise.random(n) * period))
 
     # --- fold every click category in one herald-driven pass ----------
     n_signal = 1 + len(orders)
-    click_trials = np.concatenate([f[0] for f in fated] + [dark_trials, bg_trials])
-    click_times = np.concatenate([f[1] for f in fated] + [dark_times, bg_times])
+    click_trials = np.concatenate([f[0] for f in fated] + [t for t, _ in noise])
+    click_times = np.concatenate([f[1] for f in fated] + [t for _, t in noise])
     click_cats = np.concatenate(
         [f[2] for f in fated]
-        + [np.full(n_dark, n_signal, dtype=np.int64),
-           np.full(n_bg, n_signal + 1, dtype=np.int64)]
+        + [np.full(t.size, n_signal + k, dtype=np.int64) for k, (t, _) in enumerate(noise)]
     )
     n_bins = int(round((noise_periods + 1) * period / bin_width))
     folded = _fold_heralds(click_trials, click_times, click_cats, heralds,
@@ -696,18 +769,18 @@ def heralded_autocorr_bound(g2_si: float, bound_fn=None) -> float:
     return float(bound_fn(g2_si))
 
 
-def g2_vs_storage(source: SourceParams, memory: MemoryConfig,
-                  storage_times: Sequence[float], seed: int,
-                  duration_trials: int, analyzer: Optional[PolarState] = None,
-                  bin_width: float = 2e-9, noise_periods: int = 8,
-                  workers: int = 1) -> Tuple[G2Result, ...]:
-    """One g2 estimate per storage time, reprogramming the comb period.
+def storage_histograms(source: SourceParams, memory: MemoryConfig,
+                       storage_times: Sequence[float], seed: int,
+                       duration_trials: int, analyzer: Optional[PolarState] = None,
+                       bin_width: float = 2e-9, noise_periods: int = 8,
+                       workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
+    """One coincidence histogram per storage time, reprogramming the comb.
 
     storage_time 0 means the transmitted (no memory) configuration;
     other times move the first echo order to that delay by setting the
-    grating period to 1/t at fixed finesse.
+    grating period to 1/t at fixed finesse.  Run i uses run_index i.
     """
-    results = []
+    hists = []
     for i, t in enumerate(storage_times):
         if t == 0.0:
             mem_t = None
@@ -729,10 +802,20 @@ def g2_vs_storage(source: SourceParams, memory: MemoryConfig,
                 tooth_fwhm=memory.comb_v.tooth_fwhm * scale,
             )
             mem_t = replace(memory, comb_h=comb_h, comb_v=comb_v, storage_time=t)
-        hist = simulate_run(
+        hists.append(simulate_run(
             source, mem_t, analyzer, duration_trials, seed,
             bin_width=bin_width, noise_periods=noise_periods,
             workers=workers, run_index=i,
-        )
-        results.append(g2_cross(hist))
-    return tuple(results)
+        ))
+    return tuple(hists)
+
+
+def g2_vs_storage(source: SourceParams, memory: MemoryConfig,
+                  storage_times: Sequence[float], seed: int,
+                  duration_trials: int, analyzer: Optional[PolarState] = None,
+                  bin_width: float = 2e-9, noise_periods: int = 8,
+                  workers: int = 1) -> Tuple[G2Result, ...]:
+    """One g2 estimate per storage time; see storage_histograms."""
+    hists = storage_histograms(source, memory, storage_times, seed, duration_trials,
+                               analyzer, bin_width, noise_periods, workers)
+    return tuple(g2_cross(h) for h in hists)

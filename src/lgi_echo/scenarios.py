@@ -21,7 +21,7 @@ from .afc import echo_trace, sample_ensemble, trace_fwhm, trace_peak
 from .config import SCENARIOS, ScenarioConfig
 from .errors import DomainError, InvariantViolation
 from .lgi import LGI_CSV_HEADER, conditional_probability, k_functionals, state_at
-from .photons import g2_vs_storage, heralded_autocorr_bound
+from .photons import g2_cross, heralded_autocorr_bound, storage_histograms
 from .stationarity import (
     DEFAULT_FAMILIES,
     CountPair,
@@ -282,11 +282,12 @@ def _run_markovianity(config: ScenarioConfig):
 def _run_g2_vs_storage(config: ScenarioConfig):
     stats = config.statistics
     memory = config.physics.memory()
-    results = g2_vs_storage(
+    hists = storage_histograms(
         config.source, memory, _STORAGE_TIMES,
         seed=stats.seed, duration_trials=stats.trials,
         workers=stats.workers,
     )
+    results = [g2_cross(h) for h in hists]
     rows = [
         f"{t * 1e9:.6f},{_f(r.g2)},{_f(r.sigma)},{r.n_peak},{r.n_offset}"
         for t, r in zip(_STORAGE_TIMES, results)
@@ -303,6 +304,12 @@ def _run_g2_vs_storage(config: ScenarioConfig):
         ("transmitted_is_largest",
          bool(results[0].g2 > max(stored))),
     ]
+    # deterministic counters: heralds and histogram entries per click
+    # category at each storage time
+    for t, hist in zip(_STORAGE_TIMES, hists):
+        tag = f"{round(t * 1e9)}ns"
+        metrics.append((f"n_heralds_{tag}", hist.n_heralds))
+        metrics.extend((f"entries_{tag}_{name}", n) for name, n in hist.category_counts)
     return {"g2.csv": csv}, metrics
 
 

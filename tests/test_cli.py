@@ -11,6 +11,7 @@ import pytest
 import lgi_echo
 from lgi_echo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lgi_echo.config import parse_config
+from lgi_echo.photons import MAX_TRIALS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -62,6 +63,20 @@ class TestValidate:
         assert main(["validate", "--config",
                      str(tmp_path / "nope.json")]) == EXIT_CONFIG
         assert "cannot read" in capsys.readouterr().err
+
+    def test_run_size_past_the_pipeline_limit_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "g2_vs_storage",
+                                       "statistics": {"trials": MAX_TRIALS + 1}})
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert "statistics.trials" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "g2_vs_storage", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        # the limit itself is a valid run size
+        path = write_config(tmp_path, {"scenario": "g2_vs_storage",
+                                       "statistics": {"trials": MAX_TRIALS}})
+        assert main(["validate", "--config", path]) == EXIT_OK
 
     def test_document_without_scenario_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"physics": {}})

@@ -1,6 +1,7 @@
 """Source model, coincidence folding and g2 estimators."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from unittest import mock
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fold_oracle import fold_coincidences
+from pipeline_oracle import simulate_per_trial
 from lgi_echo import photons
-from lgi_echo._rng import STREAM_PIPELINE, stream
+from lgi_echo._rng import STREAM_FATES, STREAM_LAYOUT, STREAM_PIPELINE, stream
 
 from lgi_echo.errors import (
     ConfigurationError,
@@ -22,8 +24,10 @@ from lgi_echo.errors import (
 )
 from lgi_echo.photons import (
     _fold_heralds,
+    _heralded_pairs,
     _occupied,
-    _scan_chunk,
+    _unheralded_pairs,
+    _windows,
     RETRIEVED_WINDOW,
     TRANSMITTED_WINDOW,
     CoincidenceHistogram,
@@ -442,19 +446,46 @@ class TestSkipSampling:
     def test_occupancy_extremes(self, q, expected):
         assert _occupied(stream(0, STREAM_PIPELINE), 7, q).tolist() == expected
 
-    def test_thermal_multiplicities_are_geometric(self):
-        # P(n | n >= 1) = (1 - r) r^(n-1) with r = p / (1 + p); at p = 2,
-        # P(n > 16) = r^16 ~ 0.0015 would expose a cap on the multiplicity
-        p = 2.0
+    @staticmethod
+    def _tail_source():
+        # p = 2 and a weak herald: both conditional laws run well past 16
+        # pairs, which would expose a cap on the multiplicity
+        return SourceParams(pair_probability=2.0, heralding_efficiency=0.05,
+                            statistics="thermal")
+
+    def test_thermal_heralded_multiplicities(self):
+        # P(n | heralded) = P(n) (1 - (1-eta)^n) / P(heralded), with
+        # P(n) = (1 - r) r^n, r = p/(1+p), and P(heralded) = p eta/(1+p eta)
+        src = self._tail_source()
+        p, eta = src.pair_probability, src.heralding_efficiency
         r = p / (1.0 + p)
-        src = SourceParams(pair_probability=p, statistics="thermal")
-        mult = np.concatenate([_scan_chunk(src, 5, 0, c, 0, 1 << 14)[1]
-                               for c in range(8)])
-        assert mult.min() >= 1
-        ns = np.arange(1, 40)
+        mult = np.concatenate([
+            _heralded_pairs(stream(5, STREAM_PIPELINE, c), src, 1 << 16)[1]
+            for c in range(8)])
+        ns = np.arange(1, 60)
+        law = (1.0 - r) * r ** ns * (1.0 - (1.0 - eta) ** ns) * (1.0 + p * eta) / (p * eta)
         observed = np.bincount(np.minimum(mult, ns[-1]), minlength=ns[-1] + 1)[1:]
-        expected = mult.size * (1.0 - r) * r ** (ns - 1)
-        expected[-1] = mult.size * r ** (ns[-1] - 1)
+        expected = mult.size * law
+        expected[-1] = mult.size - expected[:-1].sum()
+        assert mult.min() >= 1
+        assert _chi2_pvalue(observed, expected) > 1e-3
+        assert np.count_nonzero(mult > 16) > 0
+
+    def test_thermal_unheralded_multiplicities(self):
+        # P(n | not heralded) = (1 - s) s^n with s = r (1 - eta), n >= 0
+        src = self._tail_source()
+        s = src.pair_probability / (1.0 + src.pair_probability) * (
+            1.0 - src.heralding_efficiency)
+        size, n = 1 << 14, 8
+        mult = np.concatenate([
+            _unheralded_pairs(stream(5, STREAM_FATES, c), src, size)[1]
+            for c in range(n)])
+        ns = np.arange(0, 50)
+        observed = np.bincount(np.minimum(mult, ns[-1]), minlength=ns[-1] + 1)
+        observed[0] = n * size - mult.size
+        expected = n * size * (1.0 - s) * s ** ns
+        expected[-1] = n * size * s ** ns[-1]
+        assert mult.min() >= 1
         assert _chi2_pvalue(observed, expected) > 1e-3
         assert np.count_nonzero(mult > 16) > 0
 
@@ -467,6 +498,82 @@ class TestSkipSampling:
             assert other.counts.tobytes() == runs[0].counts.tobytes()
             assert other.category_counts == runs[0].category_counts
             assert other.n_heralds == runs[0].n_heralds
+
+
+def _noisy_source(statistics):
+    # a weak herald, dark counts and background: every draw of the
+    # pipeline shows in the histogram
+    return SourceParams(pair_probability=0.02 if statistics == "bernoulli" else 0.05,
+                        heralding_efficiency=0.3, transmission_signal=0.8,
+                        detector_efficiency=0.9, dark_rate=2e4, background_rate=5e4,
+                        statistics=statistics)
+
+
+class TestHeraldFirst:
+    @pytest.mark.parametrize("statistics", ["bernoulli", "thermal"])
+    def test_means_match_the_per_trial_model(self, statistics):
+        # 40 seeds a side; chunks of 4096 trials put herald windows
+        # across chunk boundaries
+        src, mem, n_trials, seeds = _noisy_source(statistics), paper_memory(), 100_000, 40
+        with mock.patch.object(photons, "_CHUNK", 4096):
+            fast = [simulate_run(src, mem, None, n_trials, seed=s) for s in range(seeds)]
+        slow = [simulate_per_trial(src, mem, None, n_trials, seed=s) for s in range(seeds)]
+        for name in ["heralds"] + [c for c, _ in fast[0].category_counts]:
+            a, b = (np.array([r.n_heralds if name == "heralds"
+                              else dict(r.category_counts)[name] for r in runs], float)
+                    for runs in (fast, slow))
+            sigma = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / seeds)
+            assert abs(a.mean() - b.mean()) <= 4.0 * sigma, (name, a.mean(), b.mean(), sigma)
+        # the echo categories hold enough counts to compare
+        assert np.mean([dict(r.category_counts)["echo1"] for r in fast]) > 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunk=st.integers(2, 40), n_trials=st.integers(1, 300),
+           reach=st.integers(1, 12), data=st.data())
+    def test_windows_are_the_herald_neighbourhoods(self, chunk, n_trials, reach, data):
+        heralds = sorted(data.draw(st.sets(st.integers(0, n_trials - 1), max_size=40)))
+        with mock.patch.object(photons, "_CHUNK", chunk):
+            starts, ends = _windows(np.array(heralds, dtype=np.int64), reach, n_trials)
+        dense = np.zeros(n_trials, dtype=bool)
+        for h in heralds:
+            dense[h:h + reach + 1] = True
+        covered = np.zeros(n_trials, dtype=int)
+        for a, b in zip(starts, ends):
+            assert a < b and a // chunk == (b - 1) // chunk
+            covered[a:b] += 1
+        assert np.array_equal(covered, dense)
+        assert np.all(np.diff(starts) > 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(chunk=st.integers(64, 512), seed=st.integers(0, 2**32),
+           statistics=st.sampled_from(["bernoulli", "thermal"]),
+           n_trials=st.integers(1, 20_000), noise_periods=st.integers(1, 12))
+    def test_independent_of_workers_across_chunk_edges(self, chunk, seed, statistics,
+                                                        n_trials, noise_periods):
+        src = _noisy_source(statistics)
+        with mock.patch.object(photons, "_CHUNK", chunk):
+            runs = [simulate_run(src, paper_memory(), None, n_trials, seed,
+                                 noise_periods=noise_periods, workers=w)
+                    for w in (1, 2, 3)]
+        for other in runs[1:]:
+            assert other.counts.tobytes() == runs[0].counts.tobytes()
+            assert other.category_counts == runs[0].category_counts
+            assert other.n_heralds == runs[0].n_heralds
+
+
+# sha256 of a small fixed run, per STREAM_LAYOUT.  A change that moves an
+# output byte at a fixed configuration document must bump STREAM_LAYOUT
+# (the digest covers it) and add the new value here.
+_PINNED_RUN = {
+    3: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
+}
+
+
+def test_stream_layout_pins_the_simulated_histogram():
+    hist = simulate_run(_noisy_source("thermal"), paper_memory(), None, 300_000, seed=1)
+    blob = hist.counts.astype("<i8").tobytes() + json.dumps(
+        [hist.n_heralds, hist.category_counts]).encode()
+    assert hashlib.sha256(blob).hexdigest() == _PINNED_RUN[STREAM_LAYOUT]
 
 
 _EDGE_TIMES = st.sampled_from([1e-12, PERIOD * (1.0 - 1e-12)])

@@ -184,6 +184,21 @@ class TestG2VsStorage:
         assert all(int(r[3]) > 0 for r in rows)
 
 
+    def test_counters_in_summary_are_worker_independent(self, tmp_path):
+        doc = {"scenario": "g2_vs_storage", "defaults": "paper",
+               "statistics": {"trials": 20_000_000, "seed": 2}}
+        runs = [run(tmp_path, dict(doc, statistics=dict(doc["statistics"], workers=w)),
+                    subdir=f"w{w}") for w in (1, 2)]
+        assert read(runs[0], "summary.json") == read(runs[1], "summary.json")
+        metrics = json.loads(read(runs[0], "summary.json"))["metrics"]
+        for tag, echoes in (("0ns", 0), ("50ns", 3), ("125ns", 3), ("250ns", 1)):
+            assert metrics[f"n_heralds_{tag}"] > 0
+            names = (["transmitted"] + [f"echo{k}" for k in range(1, echoes + 1)]
+                     + ["dark", "background"])
+            assert all(isinstance(metrics[f"entries_{tag}_{n}"], int) for n in names)
+            assert metrics[f"entries_{tag}_background"] > 0
+
+
 # ---------------------------------------------------------------------------
 # echo_trace
 # ---------------------------------------------------------------------------
