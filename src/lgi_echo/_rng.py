@@ -32,8 +32,11 @@ STREAM_SCENARIO = 8
 # or the model changed.  Layout 1 drew one uniform per photon-source
 # trial; layout 2 drew the geometric gaps between occupied trials;
 # layout 3 draws the gaps between heralded trials, in chunks of 2^22
-# trials, and pairs, fates and noise clicks only next to heralds.
-STREAM_LAYOUT = 3
+# trials, and pairs, fates and noise clicks only next to heralds;
+# layout 4 takes the same draws and computes tomography and
+# Markovianity on Bloch vectors instead of 2x2 matrices, which moves the
+# last digits of their reconstructed states, distances and sigmas.
+STREAM_LAYOUT = 4
 
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 
 from .config import SCENARIOS, default_document, parse_config
-from .errors import ConfigurationError, LgiEchoError
+from .errors import ConfigurationError
 from .scenarios import emit_report, run_scenario
 
 EXIT_OK = 0
@@ -90,8 +90,10 @@ def main(argv=None) -> int:
 
     try:
         report = run_scenario(config)
-    except (LgiEchoError, OSError) as exc:
-        print(f"runtime error [{config.scenario}]: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # every failure of a run, expected or not, is exit 3 with one line
+        print(f"runtime error [{config.scenario}]: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     sys.stdout.write(emit_report(report, args.report))
     return EXIT_OK

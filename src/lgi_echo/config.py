@@ -135,9 +135,13 @@ class StatisticsConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigurationError("statistics.seed must be >= 0")
-        for name in ("counts_per_point", "shots_per_basis", "n_bootstrap"):
+        for name in ("counts_per_point", "shots_per_basis"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"statistics.{name} must be >= 0")
+        if self.n_bootstrap < 2:
+            raise ConfigurationError(
+                "statistics.n_bootstrap must be >= 2: a bootstrap sigma needs "
+                "at least two replicates")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigurationError(
                 f"statistics.trials must be in [1, {MAX_TRIALS}], the longest "

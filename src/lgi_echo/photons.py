@@ -78,6 +78,11 @@ class SourceParams:
             if not 0.0 <= p < math.inf:
                 raise ConfigurationError(
                     f"pair_probability={p} must be finite and >= 0")
+            # the pair-number ratio r = p/(1+p) must stay below 1
+            if p / (1.0 + p) >= 1.0:
+                raise ConfigurationError(
+                    f"pair_probability={p} too large for a thermal source: "
+                    "p/(1+p) rounds to 1")
         elif not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"pair_probability={p} outside [0, 1]")
         for name in ("heralding_efficiency", "transmission_signal",

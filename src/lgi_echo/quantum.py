@@ -1,5 +1,8 @@
 """Two-level polarization states, density matrices and simple channels.
 
+Every state here is a qubit, so a density matrix is held as its Bloch
+vector and each operation on it is a closed form in that vector.
+
 Conventions
 -----------
 Two bases are used throughout the package:
@@ -14,6 +17,7 @@ The two bases are related by the (self-inverse) Hadamard rotation, so
 ``to_basis`` round-trips exactly up to floating point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,74 +125,90 @@ class PolarState:
 
     def density(self) -> "DensityMatrix":
         """Rank-one projector onto this state, in this state's basis."""
-        v = self.amplitudes()
-        return DensityMatrix(np.outer(v, np.conj(v)))
+        cross = np.conj(self.amp0) * self.amp1
+        return DensityMatrix.from_bloch(2.0 * cross.real, 2.0 * cross.imag,
+                                        abs(self.amp0) ** 2 - abs(self.amp1) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # density matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 density matrix.
+    """Qubit state, held as its Bloch vector r = (x, y, z).
 
-    The matrix is basis-agnostic: it is interpreted in whatever basis
+    rho = (I + x sigma_x + y sigma_y + z sigma_z)/2: the eigenvalues are
+    (1 -+ |r|)/2 and the purity is (1 + |r|^2)/2.  ``DensityMatrix(m)``
+    takes a 2x2 matrix, hermitian and of unit trace within 1e-12.  Every
+    state has |r| <= 1 + 2e-10, that is eigenvalues >= -1e-10.
+
+    The state is basis-agnostic: it is interpreted in whatever basis
     the caller used to construct it, and operations that mix a
     DensityMatrix with a PolarState (born_probability) use the state's
     raw amplitudes, so both must refer to the same basis.
-
-    Invariants: hermitian within 1e-12, unit trace within 1e-12,
-    eigenvalues >= -1e-10.
     """
 
-    elements: np.ndarray
+    __slots__ = ("_r",)
 
-    def __post_init__(self):
-        m = np.asarray(self.elements, dtype=np.complex128)
+    def __init__(self, elements):
+        m = np.asarray(elements, dtype=np.complex128)
         if m.shape != (2, 2):
             raise InvariantViolation(f"density matrix must be 2x2, got {m.shape}")
         if np.max(np.abs(m - np.conj(m.T))) > _HERM_TOL:
             raise InvariantViolation("density matrix is not hermitian within 1e-12")
-        trace = np.real(np.trace(m))
+        trace = np.real(m[0, 0] + m[1, 1])
         if abs(trace - 1.0) > _TRACE_TOL:
             raise InvariantViolation(f"density matrix trace {trace!r} deviates from 1")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -_PSD_TOL:
-            raise InvariantViolation(f"density matrix has negative eigenvalue {eigs[0]!r}")
-        object.__setattr__(self, "elements", m)
+        self._r = _checked_bloch(
+            2.0 * np.real(m[0, 1]), -2.0 * np.imag(m[0, 1]), np.real(m[0, 0] - m[1, 1]))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "DensityMatrix":
-        r = np.sqrt(x * x + y * y + z * z)
+        r = math.sqrt(x * x + y * y + z * z)
         if r > 1.0 + 1e-9:
             raise DomainError(f"Bloch vector length {r} exceeds 1")
-        m = 0.5 * np.array(
-            [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128
-        )
-        return cls(m)
+        rho = object.__new__(cls)
+        rho._r = _checked_bloch(x, y, z)
+        return rho
 
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
-        return cls(0.5 * np.eye(2, dtype=np.complex128))
+        return cls.from_bloch(0.0, 0.0, 0.0)
+
+    def __repr__(self) -> str:
+        return "DensityMatrix.from_bloch({!r}, {!r}, {!r})".format(*self._r.tolist())
 
     # -- accessors ----------------------------------------------------------
 
+    @property
+    def elements(self) -> np.ndarray:
+        """The matrix (I + r.sigma)/2, built on each access."""
+        x, y, z = self._r
+        return 0.5 * np.array(
+            [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128
+        )
+
     def bloch(self) -> np.ndarray:
         """(x, y, z) Bloch components: tr(rho sigma_k)."""
-        m = self.elements
-        x = 2.0 * np.real(m[0, 1])
-        y = -2.0 * np.imag(m[0, 1])
-        z = np.real(m[0, 0] - m[1, 1])
-        return np.array([x, y, z])
+        return self._r.copy()
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.elements @ self.elements)))
+        return float(0.5 * (1.0 + self._r @ self._r))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.elements)
+        length = math.sqrt(self._r @ self._r)
+        return np.array([0.5 * (1.0 - length), 0.5 * (1.0 + length)])
+
+
+def _checked_bloch(x, y, z) -> np.ndarray:
+    r = np.array([x, y, z], dtype=np.float64)
+    length = math.sqrt(r @ r)
+    if not length <= 1.0 + 2.0 * _PSD_TOL:  # NaN fails too
+        raise InvariantViolation(
+            f"density matrix has negative eigenvalue {0.5 * (1.0 - length)!r}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +219,28 @@ def born_probability(state, projector: PolarState) -> float:
     """Probability of projecting ``state`` onto ``projector``.
 
     ``state`` is a PolarState (any basis; converted automatically) or a
-    DensityMatrix expressed in the projector's basis.  Result is clamped
-    to [0, 1] against floating-point underflow.
+    DensityMatrix expressed in the projector's basis, for which the
+    probability is (1 + n.r)/2 with n the projector's Bloch vector.
+    Result is clamped to [0, 1] against floating-point underflow.
     """
     if isinstance(state, PolarState):
         amp = projector.overlap(state)
         p = abs(amp) ** 2
     elif isinstance(state, DensityMatrix):
-        v = projector.amplitudes()
-        p = float(np.real(np.conj(v) @ state.elements @ v))
+        p = float(0.5 * (1.0 + projector.density()._r @ state._r))
     else:
         raise DomainError(f"cannot compute Born probability for {type(state).__name__}")
     return float(min(max(p, 0.0), 1.0))
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """D(rho1, rho2) = 0.5 * sum |eig(rho1 - rho2)|.
+    """D(rho1, rho2) = |r1 - r2| / 2, half the Bloch-vector distance.
 
     A metric on states: 0 iff equal, symmetric, triangle inequality,
     and contractive under the channels in this module.
     """
-    diff = rho1.elements - rho2.elements
-    eigs = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    diff = rho1._r - rho2._r
+    return 0.5 * math.sqrt(diff @ diff)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +279,7 @@ def apply_channel(channel: Channel, rho: DensityMatrix, duration: float) -> Dens
         raise DomainError(f"duration must be finite and >= 0, got {duration}")
     if channel.kind in ("identity", "loss"):
         return rho
-    decay = np.exp(-channel.rate * duration)
-    m = rho.elements.copy()
-    m[0, 1] *= decay
-    m[1, 0] *= decay
-    return DensityMatrix(m)
+    decay = math.exp(-channel.rate * duration)
+    x, y, z = rho._r
+    return DensityMatrix.from_bloch(decay * x, decay * y, z)
 

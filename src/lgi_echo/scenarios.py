@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from . import __version__
 from .afc import echo_trace, sample_ensemble, trace_fwhm, trace_peak
 from .config import SCENARIOS, ScenarioConfig
@@ -352,7 +350,6 @@ def _run_tomography_demo(config: ScenarioConfig):
         data = simulate_tomography(rho_true, stats.shots_per_basis, stats.seed)
     result = mle_reconstruct(data)
     dist = trace_distance(result.rho, rho_true)
-    eigs = np.linalg.eigvalsh(result.rho.elements)
 
     rows = [
         f"{label},{data.shots_per_basis},{_f(count)}"
@@ -363,9 +360,8 @@ def _run_tomography_demo(config: ScenarioConfig):
     metrics = [
         ("mode", "exact" if stats.shots_per_basis == 0 else "sampled"),
         ("trace_distance_to_truth", float(dist)),
-        ("purity", float(np.real(np.trace(
-            result.rho.elements @ result.rho.elements)))),
-        ("psd", bool(eigs[0] >= -1e-10)),
+        ("purity", result.rho.purity()),
+        ("psd", bool(result.rho.eigenvalues()[0] >= -1e-10)),
         ("converged", bool(result.converged)),
         ("iterations", int(result.iterations)),
     ]

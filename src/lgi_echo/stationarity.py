@@ -19,20 +19,12 @@ from scipy.special import chdtrc
 from .errors import DomainError, InvariantViolation
 from ._rng import stream, STREAM_BOOTSTRAP, STREAM_COUNTS
 from .lgi import ExcitationState, LgiReport, conditional_probability
-from .quantum import (
-    Channel,
-    DensityMatrix,
-    PolarState,
-    apply_channel,
-    born_probability,
-    trace_distance,
-)
+from .quantum import Channel, DensityMatrix, PolarState, apply_channel, trace_distance
 from .tomography import (
-    default_bases,
-    linear_inversion,
+    analyzer_probabilities,
+    bloch_from_frequencies,
     mle_reconstruct,
     simulate_tomography,
-    TomographyData,
 )
 
 # Families plotted in the invariance scan: (initial, final, tau).
@@ -328,25 +320,17 @@ def _bootstrap_distance_sigmas(rhos_a, rhos_b, shots: int, seed: int,
     Replicate counts are redrawn from the fitted states and inverted with
     the fast projected linear inversion; the MLE point estimate and the
     replicate spread agree to the relevant accuracy at these shot counts.
+    All counts come from one draw of shape (reps, times, 2 states, 4
+    bases), whose C order is replicate by replicate, then time by time.
     """
+    fitted = np.array([[a.bloch(), b.bloch()] for a, b in zip(rhos_a, rhos_b)])
+    probs = analyzer_probabilities(fitted)
     rng = stream(seed, STREAM_BOOTSTRAP)
-    bases = default_bases()
-    probs_a = [
-        np.array([born_probability(r, b) for b in bases]) for r in rhos_a
-    ]
-    probs_b = [
-        np.array([born_probability(r, b) for b in bases]) for r in rhos_b
-    ]
-    n_times = len(rhos_a)
-    reps = np.empty((n_reps, n_times))
-    for r in range(n_reps):
-        for k in range(n_times):
-            counts_a = rng.binomial(shots, probs_a[k]).astype(np.float64)
-            counts_b = rng.binomial(shots, probs_b[k]).astype(np.float64)
-            rho_a = linear_inversion(TomographyData(shots, counts_a))
-            rho_b = linear_inversion(TomographyData(shots, counts_b))
-            reps[r, k] = trace_distance(rho_a, rho_b)
-    return tuple(float(s) for s in reps.std(axis=0, ddof=1))
+    counts = rng.binomial(shots, probs, size=(n_reps,) + probs.shape)
+    r, _ = bloch_from_frequencies(counts / shots)
+    diff = r[:, :, 0] - r[:, :, 1]
+    distances = 0.5 * np.sqrt(np.sum(diff * diff, axis=-1))
+    return tuple(float(s) for s in distances.std(axis=0, ddof=1))
 
 
 def markovianity_test(state_a: DensityMatrix, state_b: DensityMatrix,
@@ -364,6 +348,9 @@ def markovianity_test(state_a: DensityMatrix, state_b: DensityMatrix,
     times = tuple(float(t) for t in times)
     if len(times) < 3:
         raise DomainError("need at least three time points")
+    if use_tomography and n_bootstrap < 2:
+        raise DomainError(
+            f"n_bootstrap={n_bootstrap}: the bootstrap sigma needs at least 2 replicates")
     if any(t < 0.0 for t in times):
         raise DomainError("times must be >= 0")
     if any(b <= a for a, b in zip(times, times[1:])):

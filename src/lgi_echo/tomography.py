@@ -1,28 +1,42 @@
 """Polarization tomography in the four analyzer bases H, V, H+iV, H+V.
 
-Reconstruction is offered two ways: direct Stokes-parameter (linear)
-inversion with eigenvalue projection, and maximum likelihood over the
-physical state space.  The MLE maximizes the per-basis binomial
-likelihood on a Cholesky-factorized PSD parametrization rho = T'T/tr,
-iterated with a gradient (L-BFGS) ascent started from the projected
+These are the analyzer settings of James, Kwiat, Munro and White, PRA
+64, 052312 (2001).  Analyzer k is a pure state with Bloch vector n_k,
+so a state with Bloch vector r passes it with probability (1 + n_k.r)/2:
+the H/V pair reads z, H+iV reads y and H+V reads x.
+
+Reconstruction is offered two ways.  Linear inversion reads the Bloch
+vector off the frequencies, r = (2 p_{H+V} - 1, 2 p_{H+iV} - 1,
+p_H - p_V), and maps an unphysical |r| > 1 to r/|r|, which is exactly
+the eigenvalue clip and renormalization of the 2x2 matrix.  Maximum
+likelihood maximizes the per-basis binomial likelihood on the
+Cholesky-factorized PSD parametrization rho = T'T/tr, iterated with a
+gradient (L-BFGS) ascent started from the factor of the projected
 linear inversion, so its likelihood can never fall below the linear
 estimate.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from ._rng import STREAM_TOMOGRAPHY, stream
 from .errors import DomainError, InvariantViolation
-from .quantum import DensityMatrix, PolarState, born_probability
+from .quantum import DensityMatrix, PolarState
 
 BASIS_LABELS = ("H", "V", "H+iV", "H+V")
 
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# Bloch vectors n_k of the analyzers, in BASIS_LABELS order
+_ANALYZERS = np.array(
+    [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+)
+
+# linear inversion projects when the smaller eigenvalue (1 - |r|)/2 is
+# below -1e-12, so noiseless data of a pure state is left as it is
+_PROJECT_TOL = 2e-12
 
 
 def default_bases():
@@ -35,11 +49,29 @@ def default_bases():
     )
 
 
-def _is_default_bases(bases) -> bool:
-    for ours, canon in zip(bases, default_bases()):
-        if abs(ours.overlap(canon)) ** 2 < 1.0 - 1e-12:
-            return False
-    return True
+def analyzer_probabilities(r) -> np.ndarray:
+    """Born probabilities (1 + n_k.r)/2 of the four analyzers.
+
+    r holds Bloch vectors along its last axis, shape (..., 3); the result
+    has shape (..., 4), clamped to [0, 1] against rounding.
+    """
+    return np.clip(0.5 * (1.0 + np.asarray(r) @ _ANALYZERS.T), 0.0, 1.0)
+
+
+def bloch_from_frequencies(freqs):
+    """Projected linear inversion of analyzer frequencies.
+
+    freqs has shape (..., 4) in BASIS_LABELS order.  Returns the Bloch
+    vectors, shape (..., 3), and a boolean array, shape (...), that is
+    true where |r| exceeded 1 and r was scaled back onto the sphere.
+    """
+    f = np.asarray(freqs, dtype=np.float64)
+    r = np.stack(
+        [2.0 * f[..., 3] - 1.0, 2.0 * f[..., 2] - 1.0, f[..., 0] - f[..., 1]], axis=-1
+    )
+    length = np.sqrt(np.sum(r * r, axis=-1))
+    projected = length > 1.0 + _PROJECT_TOL
+    return r / np.where(projected, length, 1.0)[..., None], projected
 
 
 # ---------------------------------------------------------------------------
@@ -50,24 +82,22 @@ def _is_default_bases(bases) -> bool:
 class TomographyData:
     """Click counts from shots_per_basis analyzer passes per basis.
 
-    counts may be non-integral only for exact-frequency (noiseless)
-    datasets; simulated data is integral.
+    counts follow BASIS_LABELS and may be non-integral only for
+    exact-frequency (noiseless) datasets; simulated data is integral.
     """
 
     shots_per_basis: int
     counts: np.ndarray
-    bases: tuple = field(default_factory=default_bases)
 
     def __post_init__(self):
         if self.shots_per_basis < 1:
             raise InvariantViolation("shots_per_basis must be >= 1")
         c = np.asarray(self.counts, dtype=np.float64)
-        if c.shape != (len(self.bases),):
+        if c.shape != (len(BASIS_LABELS),):
             raise InvariantViolation("need one count per basis")
         if np.any(c < 0.0) or np.any(c > self.shots_per_basis + 1e-9):
             raise InvariantViolation("counts must lie in [0, shots_per_basis]")
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "bases", tuple(self.bases))
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.shots_per_basis
@@ -114,22 +144,15 @@ def simulate_tomography(rho_true: DensityMatrix, shots_per_basis: int,
     if shots_per_basis < 1:
         raise DomainError("shots_per_basis must be >= 1")
     rng = stream(seed, STREAM_TOMOGRAPHY, stream_index)
-    counts = np.array(
-        [
-            rng.binomial(shots_per_basis, born_probability(rho_true, b))
-            for b in default_bases()
-        ],
-        dtype=np.float64,
-    )
-    return TomographyData(shots_per_basis, counts)
+    probs = analyzer_probabilities(rho_true.bloch())
+    return TomographyData(shots_per_basis,
+                          rng.binomial(shots_per_basis, probs).astype(np.float64))
 
 
 def exact_tomography(rho_true: DensityMatrix, shots_per_basis: int = 10**6) -> TomographyData:
     """Noiseless dataset: counts are the exact expected frequencies."""
-    counts = np.array(
-        [shots_per_basis * born_probability(rho_true, b) for b in default_bases()]
-    )
-    return TomographyData(shots_per_basis, counts)
+    return TomographyData(shots_per_basis,
+                          shots_per_basis * analyzer_probabilities(rho_true.bloch()))
 
 
 # ---------------------------------------------------------------------------
@@ -140,58 +163,49 @@ def linear_inversion(data: TomographyData, with_flag: bool = False):
     """Stokes-parameter inversion of the four measured frequencies.
 
     z comes from the H/V pair (which also carries the normalization),
-    x from H+V and y from H+iV.  A non-PSD intermediate is projected by
-    truncating negative eigenvalues and renormalizing; the boolean flag
-    (second return value when with_flag) records whether that happened.
+    x from H+V and y from H+iV.  A Bloch vector longer than 1 is scaled
+    back onto the sphere, which is the truncation of the negative
+    eigenvalue with renormalization; the boolean flag (second return
+    value when with_flag) records whether that happened.
     """
-    if not _is_default_bases(data.bases):
-        raise DomainError("linear inversion requires the standard H,V,H+iV,H+V bases")
-    p_h, p_v, p_circ, p_diag = data.frequencies()
-    z = p_h - p_v
-    x = 2.0 * p_diag - 1.0
-    y = 2.0 * p_circ - 1.0
-    raw = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128)
-    eigs, vecs = np.linalg.eigh(raw)
-    projected = bool(eigs[0] < -1e-12)
-    if projected:
-        eigs = np.clip(eigs, 0.0, None)
-        eigs = eigs / eigs.sum()
-        raw = (vecs * eigs) @ vecs.conj().T
-    rho = DensityMatrix(raw)
-    return (rho, projected) if with_flag else rho
+    r, projected = bloch_from_frequencies(data.frequencies())
+    rho = DensityMatrix.from_bloch(*r)
+    return (rho, bool(projected)) if with_flag else rho
 
 
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
 
-def _projectors(bases):
-    out = []
-    for b in bases:
-        v = b.amplitudes()
-        out.append(np.outer(v, np.conj(v)))
-    return out
-
-
 def log_likelihood(rho: DensityMatrix, data: TomographyData) -> float:
     """Binomial log-likelihood of rho for the dataset (constants dropped)."""
-    total = 0.0
-    shots = data.shots_per_basis
-    for proj_state, n in zip(data.bases, data.counts):
-        p = born_probability(rho, proj_state)
-        p = min(max(p, 1e-300), 1.0 - 1e-16)
-        if n > 0:
-            total += n * math.log(p)
-        if shots - n > 0:
-            total += (shots - n) * math.log(1.0 - p)
-    return total
+    p = np.clip(analyzer_probabilities(rho.bloch()), 1e-300, 1.0 - 1e-16)
+    n = data.counts
+    return float(n @ np.log(p) + (data.shots_per_basis - n) @ np.log(1.0 - p))
 
 
-def _lower_cholesky_factor(rho_elements: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T'T = rho (reverse Cholesky)."""
-    flipped = _SWAP @ rho_elements @ _SWAP
-    lower = np.linalg.cholesky(flipped)
-    return _SWAP @ lower.conj().T @ _SWAP
+def _factor_bloch(theta):
+    """u and s with r = u/s the Bloch vector of T'T/tr(T'T), where
+    T = [[t0, 0], [t2 + i t3, t1]] and s = tr(T'T)."""
+    t0, t1, t2, t3 = theta
+    u = np.array([2.0 * t1 * t2, 2.0 * t1 * t3, t0 * t0 + t2 * t2 + t3 * t3 - t1 * t1])
+    return u, float(theta @ theta)
+
+
+def _start_factor(r) -> np.ndarray:
+    """theta of the reverse-Cholesky factor T, T'T = (rho + eps I)/(1 + 2 eps).
+
+    The eps shift keeps T invertible at a pure linear-inversion estimate.
+    T'T = [[t0^2 + |c|^2, conj(c) t1], [c t1, t1^2]] with c = t2 + i t3,
+    so t1 = sqrt(rho_11), c = rho_10/t1 and t0 = sqrt(det(rho)/rho_11).
+    """
+    x, y, z = r
+    eps = 1e-12
+    norm = 1.0 + 2.0 * eps
+    rho11 = (0.5 * (1.0 - z) + eps) / norm
+    det = (0.25 * max(1.0 - (x * x + y * y + z * z), 0.0) + eps + eps * eps) / norm**2
+    t1 = math.sqrt(rho11)
+    return np.array([math.sqrt(det / rho11), t1, 0.5 * x / norm / t1, 0.5 * y / norm / t1])
 
 
 def mle_reconstruct(data: TomographyData, tol: float = 1e-10,
@@ -209,46 +223,21 @@ def mle_reconstruct(data: TomographyData, tol: float = 1e-10,
         raise DomainError("tol must be > 0 and max_iter >= 1")
     shots = data.shots_per_basis
     counts = data.counts
-    projectors = _projectors(data.bases)
-    eye = np.eye(2, dtype=np.complex128)
+    misses = shots - counts
 
     def objective(theta):
-        t_mat = np.array(
-            [[theta[0], 0.0], [theta[2] + 1j * theta[3], theta[1]]], dtype=np.complex128
-        )
-        gram = t_mat.conj().T @ t_mat
-        scale = float(np.real(np.trace(gram)))
-        rho = gram / scale
-        ll = 0.0
-        accum = np.zeros((2, 2), dtype=np.complex128)
-        for proj, n in zip(projectors, counts):
-            p = float(np.real(np.trace(rho @ proj)))
-            p = min(max(p, 1e-14), 1.0 - 1e-14)
-            if n > 0:
-                ll += n * math.log(p)
-            if shots - n > 0:
-                ll += (shots - n) * math.log(1.0 - p)
-            accum += (n / p - (shots - n) / (1.0 - p)) * proj
-        mu = float(np.real(np.trace(accum @ rho)))
-        grad_t = t_mat @ accum - mu * t_mat
-        grad = (
-            np.array(
-                [
-                    2.0 * np.real(grad_t[0, 0]),
-                    2.0 * np.real(grad_t[1, 1]),
-                    2.0 * np.real(grad_t[1, 0]),
-                    2.0 * np.imag(grad_t[1, 0]),
-                ]
-            )
-            / scale
-        )
+        u, scale = _factor_bloch(theta)
+        p = np.clip(analyzer_probabilities(u / scale), 1e-14, 1.0 - 1e-14)
+        ll = counts @ np.log(p) + misses @ np.log(1.0 - p)
+        # dLL/dr, then the chain rule through r = u / scale
+        g = 0.5 * (counts / p - misses / (1.0 - p)) @ _ANALYZERS
+        t0, t1, t2, t3 = theta
+        du = 2.0 * np.array([[0.0, t2, t1, 0.0], [0.0, t3, 0.0, t1], [t0, -t1, t2, t3]])
+        grad = (g @ du - 2.0 * (g @ u) / scale * theta) / scale
         return -ll, -grad
 
-    li_rho = linear_inversion(data) if _is_default_bases(data.bases) else DensityMatrix.maximally_mixed()
-    start = li_rho.elements + 1e-12 * eye
-    start /= np.real(np.trace(start))
-    t0 = _lower_cholesky_factor(start)
-    theta0 = np.array([np.real(t0[0, 0]), np.real(t0[1, 1]), np.real(t0[1, 0]), np.imag(t0[1, 0])])
+    li_rho = linear_inversion(data)
+    theta0 = _start_factor(li_rho.bloch())
 
     ll_path = []
 
@@ -269,15 +258,8 @@ def mle_reconstruct(data: TomographyData, tol: float = 1e-10,
             "maxls": 50,
         },
     )
-    t_final = np.array(
-        [[result.x[0], 0.0], [result.x[2] + 1j * result.x[3], result.x[1]]],
-        dtype=np.complex128,
-    )
-    gram = t_final.conj().T @ t_final
-    rho_elements = gram / np.real(np.trace(gram))
-    # scrub rounding asymmetry before the invariant check
-    rho_elements = 0.5 * (rho_elements + rho_elements.conj().T)
-    rho = DensityMatrix(rho_elements)
+    u, scale = _factor_bloch(result.x)
+    rho = DensityMatrix.from_bloch(*(u / scale))
     final_ll = float(-result.fun)
     # a line-search abort at an already-optimal start reports failure;
     # a vanishing gradient is still convergence

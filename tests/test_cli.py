@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import lgi_echo
+from lgi_echo import scenarios
 from lgi_echo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lgi_echo.config import parse_config
 from lgi_echo.photons import MAX_TRIALS
@@ -77,6 +78,23 @@ class TestValidate:
         path = write_config(tmp_path, {"scenario": "g2_vs_storage",
                                        "statistics": {"trials": MAX_TRIALS}})
         assert main(["validate", "--config", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_too_few_bootstrap_replicates_exit_2(self, tmp_path, capsys, n_bootstrap):
+        # a single replicate gives a nan sigma at every time
+        path = write_config(tmp_path, {"scenario": "markovianity", "statistics": {
+            "shots_per_basis": 1000, "n_bootstrap": n_bootstrap}})
+        out = tmp_path / "out"
+        assert main(["run", "markovianity", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "statistics.n_bootstrap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thermal_mean_past_float_resolution_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "g2_vs_storage", "source": {
+            "statistics": "thermal", "pair_probability": 1e16}})
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert "pair_probability" in capsys.readouterr().err
 
     def test_document_without_scenario_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"physics": {}})
@@ -194,6 +212,20 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(
             "runtime error [lgi_envelope]:")
+
+    def test_unexpected_exception_exits_3_with_one_line(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def broken(config):
+            raise ValueError("numpy says no")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "lgi_envelope", broken)
+        out = tmp_path / "out"
+        code = main(["run", "lgi_envelope", "--config",
+                     write_config(tmp_path, FAST_ENVELOPE), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error [lgi_envelope]: ValueError: numpy says no\n")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgi_echo.config import (
     OUTPUT_FORMATS,
@@ -208,6 +209,8 @@ class TestSections:
         ("shots_per_basis", -1),
         ("trials", 0),
         ("n_bootstrap", -1),
+        ("n_bootstrap", 0),
+        ("n_bootstrap", 1),
         ("workers", 0),
         ("probe_time", -1e-9),
     ])
@@ -294,3 +297,36 @@ class TestDigest:
         again = parse_config(cfg.canonical_json())
         assert again == cfg
         assert again.digest() == cfg.digest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=st.sampled_from(SCENARIOS), paper=st.booleans(),
+           statistics=st.fixed_dictionaries({}, optional={
+               "seed": st.integers(0, 2**63 - 1),
+               "counts_per_point": st.integers(0, 10**6),
+               "shots_per_basis": st.integers(0, 10**6),
+               "trials": st.integers(1, 10**12),
+               "n_bootstrap": st.integers(2, 1000),
+               "workers": st.integers(1, 64),
+               "probe_time": st.floats(0.0, 1e-6),
+           }),
+           source=st.fixed_dictionaries({}, optional={
+               "pair_probability": st.floats(0.0, 1.0),
+               "dark_rate": st.floats(0.0, 1e4),
+               "statistics": st.sampled_from(["bernoulli", "thermal"]),
+           }),
+           physics=st.fixed_dictionaries({}, optional={
+               "storage_time": st.floats(1e-9, 1e-6),
+               "phase0": st.floats(-10.0, 10.0),
+               "channel_rate": st.floats(0.0, 1e8),
+           }))
+    def test_canonical_json_round_trips_the_digest(self, scenario, paper,
+                                                   statistics, source, physics):
+        doc = {"scenario": scenario, "statistics": statistics,
+               "source": source, "physics": physics}
+        if paper:
+            doc["defaults"] = "paper"
+        cfg = parse(doc)
+        again = parse_config(cfg.canonical_json())
+        assert again == cfg
+        assert again.digest() == cfg.digest()
+        assert again.canonical_json() == cfg.canonical_json()

@@ -96,12 +96,19 @@ class TestSourceParams:
         {"pair_probability": -0.1, "statistics": "thermal"},
         {"pair_probability": math.inf, "statistics": "thermal"},
         {"pair_probability": math.nan, "statistics": "thermal"},
+        # the pair-number ratio p/(1+p) rounds to 1
+        {"pair_probability": 1e16, "statistics": "thermal"},
+        {"pair_probability": 1e17, "statistics": "thermal"},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         base = {"pair_probability": 0.01}
         base.update(kwargs)
         with pytest.raises(ConfigurationError):
             SourceParams(**base)
+
+    def test_largest_thermal_mean_is_accepted(self):
+        # 1e15 still has p/(1+p) < 1
+        SourceParams(pair_probability=1e15, statistics="thermal")
 
 
 class TestMemoryConfig:
@@ -566,6 +573,8 @@ class TestHeraldFirst:
 # (the digest covers it) and add the new value here.
 _PINNED_RUN = {
     3: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
+    # layout 4 changed the qubit arithmetic only
+    4: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
 }
 
 

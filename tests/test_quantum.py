@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qubit_oracle as oracle
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.quantum import (
     Channel,
@@ -126,6 +128,14 @@ class TestDensityMatrix:
             DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
         with pytest.raises(InvariantViolation):
             DensityMatrix(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
+        with pytest.raises(InvariantViolation):
+            DensityMatrix(np.full((2, 2), np.nan))
+
+    def test_psd_bound_is_the_eigenvalue_tolerance(self):
+        # eigenvalue (1 - |r|)/2 >= -1e-10 is |r| <= 1 + 2e-10
+        DensityMatrix(oracle.matrix((0.0, 0.0, 1.0 + 1.9e-10)))
+        with pytest.raises(InvariantViolation):
+            DensityMatrix(oracle.matrix((0.0, 0.0, 1.0 + 2.1e-10)))
 
     def test_bloch_round_trip(self):
         rng = np.random.default_rng(3)
@@ -184,6 +194,45 @@ class TestTraceDistance:
                 apply_channel(ch, a, 100e-9), apply_channel(ch, b, 100e-9)
             )
             assert d1 <= d0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Bloch core against the matrix oracle
+# ---------------------------------------------------------------------------
+
+# points of the closed Bloch ball, the sphere (pure states) included
+BLOCH = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
+    lambda v: np.array(v) / max(1.0, float(np.linalg.norm(v))))
+
+
+class TestMatrixOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ra=BLOCH, rb=BLOCH)
+    def test_trace_distance_is_the_eigenvalue_form(self, ra, rb):
+        a, b = DensityMatrix.from_bloch(*ra), DensityMatrix.from_bloch(*rb)
+        expected = oracle.trace_distance(oracle.matrix(ra), oracle.matrix(rb))
+        assert abs(trace_distance(a, b) - expected) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=BLOCH)
+    def test_matrix_round_trip_purity_and_eigenvalues(self, r):
+        m = oracle.matrix(r)
+        rho = DensityMatrix(m)
+        assert np.max(np.abs(rho.bloch() - r)) <= 1e-15
+        assert np.max(np.abs(rho.elements - m)) <= 1e-15
+        assert abs(rho.purity() - np.real(np.trace(m @ m))) <= 1e-12
+        assert np.max(np.abs(rho.eigenvalues() - np.linalg.eigvalsh(m))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=BLOCH, amps=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda v: np.linalg.norm(v) > 1e-3))
+    def test_born_probability_is_the_projector_trace(self, r, amps):
+        proj = PolarState.normalized(complex(amps[0], amps[1]),
+                                     complex(amps[2], amps[3]))
+        v = proj.amplitudes()
+        expected = np.real(np.conj(v) @ oracle.matrix(r) @ v)
+        p = born_probability(DensityMatrix.from_bloch(*r), proj)
+        assert abs(p - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qubit_oracle as oracle
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.lgi import ExcitationState, conditional_probability, k_functionals
-from lgi_echo.quantum import Channel, trace_distance
+from lgi_echo.quantum import Channel, DensityMatrix, trace_distance
 from lgi_echo.stationarity import (
+    _bootstrap_distance_sigmas,
     DEFAULT_FAMILIES,
     CountPair,
     InvarianceReport,
@@ -23,6 +26,7 @@ from lgi_echo.stationarity import (
     simulate_q_grid,
     wilson_half_width,
 )
+from lgi_echo.tomography import analyzer_probabilities
 
 MHZ = 1e6
 NS = 1e-9
@@ -414,3 +418,36 @@ class TestMarkovianityTomographic:
         assert doc["passed"] is True
         assert len(doc["sigmas"]) == len(MARKOV_TIMES)
         assert doc["times_ns"][1] == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_fewer_than_two_replicates_rejected(self, n_bootstrap):
+        # one replicate has no spread: every sigma would be nan
+        pair = default_state_pair()
+        with pytest.raises(DomainError, match="n_bootstrap"):
+            markovianity_test(*pair, Channel("dephasing", 2e6), MARKOV_TIMES,
+                              use_tomography=True, shots=1000,
+                              n_bootstrap=n_bootstrap)
+
+
+_BLOCH = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
+    lambda v: np.array(v) / max(1.0, float(np.linalg.norm(v))))
+
+
+class TestBootstrapOracle:
+    # The loop gets the closed-form analyzer probabilities: the projector
+    # form rounds differently in the last bit (0.5000000000000001 for the
+    # maximally mixed state through H+V), and numpy's binomial branches
+    # on p > 0.5, so one ulp can change a draw.  The Born forms are held
+    # to each other in test_tomography and test_quantum.
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(_BLOCH, _BLOCH), min_size=1, max_size=5),
+           shots=st.integers(1, 10**5), seed=st.integers(0, 2**40),
+           n_reps=st.integers(2, 12))
+    def test_one_draw_equals_the_replicate_loop(self, pairs, shots, seed, n_reps):
+        rhos_a = [DensityMatrix.from_bloch(*a) for a, _ in pairs]
+        rhos_b = [DensityMatrix.from_bloch(*b) for _, b in pairs]
+        sigmas = _bootstrap_distance_sigmas(rhos_a, rhos_b, shots, seed, n_reps)
+        expected = oracle.bootstrap_sigmas(
+            [analyzer_probabilities(a) for a, _ in pairs],
+            [analyzer_probabilities(b) for _, b in pairs], shots, seed, n_reps)
+        assert np.max(np.abs(np.array(sigmas) - expected)) <= 1e-12

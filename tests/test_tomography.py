@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qubit_oracle as oracle
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.lgi import ExcitationState, state_at
 from lgi_echo.quantum import DensityMatrix, PolarState, born_probability, trace_distance
@@ -13,6 +15,7 @@ from lgi_echo.tomography import (
     TomographyData,
     default_bases,
     exact_tomography,
+    analyzer_probabilities,
     linear_inversion,
     log_likelihood,
     mle_reconstruct,
@@ -97,11 +100,16 @@ class TestLinearInversion:
         assert projected
         assert rho.eigenvalues()[0] >= -1e-12
 
-    def test_custom_bases_rejected(self):
-        bases = (PolarState.h(), PolarState.v(), PolarState.h(), PolarState.v())
-        data = TomographyData(10, np.array([5.0, 5.0, 5.0, 5.0]), bases=bases)
-        with pytest.raises(DomainError):
-            linear_inversion(data)
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.integers(1, 10**6).flatmap(lambda shots: st.tuples(
+        st.just(shots), st.lists(st.integers(0, shots), min_size=4, max_size=4))))
+    def test_matches_the_eigenvalue_clip(self, data):
+        shots, counts = data
+        rho, projected = linear_inversion(TomographyData(shots, np.array(counts)),
+                                          with_flag=True)
+        expected, expected_projected = oracle.linear_inversion(np.array(counts) / shots)
+        assert projected == expected_projected
+        assert np.max(np.abs(rho.elements - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,14 @@ class TestMleReconstruct:
         assert doc["converged"] is True
         assert doc["rho"][0][0][0] == pytest.approx(1.0, abs=1e-6)
         assert doc["rho"][0][0][1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_analyzer_probabilities_are_the_analyzer_projections():
+    rng = np.random.default_rng(45)
+    for _ in range(100):
+        rho = random_pure_rho(rng)
+        expected = oracle.born_probabilities(rho.elements)
+        assert np.max(np.abs(analyzer_probabilities(rho.bloch()) - expected)) <= 1e-15
 
 
 def test_default_bases_are_the_four_analyzers():
