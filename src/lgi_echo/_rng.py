@@ -35,8 +35,9 @@ STREAM_SCENARIO = 8
 # trials, and pairs, fates and noise clicks only next to heralds;
 # layout 4 takes the same draws and computes tomography and
 # Markovianity on Bloch vectors instead of 2x2 matrices, which moves the
-# last digits of their reconstructed states, distances and sigmas.
-STREAM_LAYOUT = 4
+# last digits of their reconstructed states, distances and sigmas; layout 5
+# (same draws) has a closed-form MLE, series p-values and quadrature echo efficiencies.
+STREAM_LAYOUT = 5
 
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

@@ -2,11 +2,13 @@
 
 Every scenario is a pure function of its configuration: file contents
 depend only on the config digest (which includes the seed), never on
-wall time or worker count.  Files are written atomically and removed
-again if the run fails partway.  Each CSV starts with a provenance
+wall time or worker count.  Files are written atomically, an output
+directory holds the files of one run only, and a run that fails
+leaves none of its scenario's files.  Each CSV starts with a provenance
 comment `# lgi-echo v<version> scenario=<id> seed=<n>`.
 """
 
+import contextlib
 import json
 import os
 import tempfile
@@ -323,11 +325,8 @@ def _run_echo_trace(config: ScenarioConfig):
     t2, i2 = trace_peak(trace, 1.5 * period, 2.5 * period)
     width = trace_fwhm(trace, t1)
 
-    lines = [f"# {_provenance(config)}", "time_ns,intensity"]
-    lines.extend(
-        f"{t * 1e9:.6f},{i:.9e}" for t, i in zip(trace.times, trace.intensity)
-    )
-    csv = "\n".join(lines) + "\n"
+    csv = _csv_text(config, "time_ns,intensity", (
+        f"{t * 1e9:.6f},{i:.9e}" for t, i in zip(trace.times, trace.intensity)))
     metrics = [
         ("echo_time_ns", float(t1 * 1e9)),
         ("echo_intensity", float(i1)),
@@ -377,6 +376,17 @@ _RUNNERS = {
     "tomography_demo": _run_tomography_demo,
 }
 
+# the files each runner can return; with summary.json, the names a run
+# of the scenario owns in its output directory
+_ARTIFACTS = {
+    "lgi_envelope": ("envelope.csv",),
+    "stationarity_grid": ("grid.csv",),
+    "markovianity": ("distance.csv",),
+    "g2_vs_storage": ("g2.csv",),
+    "echo_trace": ("trace.csv",),
+    "tomography_demo": ("counts.csv", "reconstruction.json"),
+}
+
 
 # ---------------------------------------------------------------------------
 # dispatch
@@ -385,45 +395,39 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Run one scenario and write its artifacts.
 
-    CSV artifacts are emitted when output.format includes csv, the JSON
-    summary when it includes json.  On any failure every file written
-    so far is removed before the error propagates.
+    CSV artifacts are emitted when output.format includes csv, JSON ones
+    and the summary when it includes json.  The output directory holds
+    one run: the names of _ARTIFACTS[scenario] and summary.json that the
+    run does not write are removed, and on any failure all of them are.
     """
     start = time.perf_counter()
-    files, metrics = _RUNNERS[config.scenario](config)
-
     out_dir = config.output.directory
-    os.makedirs(out_dir, exist_ok=True)
-    digest = config.digest()
+    owned = [os.path.join(out_dir, name)
+             for name in _ARTIFACTS[config.scenario] + ("summary.json",)]
     written = []
     try:
-        if config.output.write_csv:
-            for name, text in files.items():
-                if not name.endswith(".json"):
-                    path = os.path.join(out_dir, name)
-                    _atomic_write(path, text)
-                    written.append(path)
-        if config.output.write_json:
-            for name, text in files.items():
-                if name.endswith(".json"):
-                    path = os.path.join(out_dir, name)
-                    _atomic_write(path, text)
-                    written.append(path)
-            summary = {
-                "scenario": config.scenario,
-                "seed": config.statistics.seed,
-                "digest": digest,
-                "metrics": dict(metrics),
-            }
-            path = os.path.join(out_dir, "summary.json")
-            _atomic_write(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
-            written.append(path)
-    except BaseException:
-        for path in written:
-            try:
+        files, metrics = _RUNNERS[config.scenario](config)
+        os.makedirs(out_dir, exist_ok=True)
+        digest = config.digest()
+        summary = {
+            "scenario": config.scenario,
+            "seed": config.statistics.seed,
+            "digest": digest,
+            "metrics": dict(metrics),
+        }
+        files["summary.json"] = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        for name, text in files.items():
+            if config.output.write_json if name.endswith(".json") else config.output.write_csv:
+                path = os.path.join(out_dir, name)
+                _atomic_write(path, text)
+                written.append(path)
+        for path in set(owned) - set(written):
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
-            except OSError:
-                pass
+    except BaseException:
+        for path in owned:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
     return RunReport(

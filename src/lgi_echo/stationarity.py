@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import DomainError, InvariantViolation
 from ._rng import stream, STREAM_BOOTSTRAP, STREAM_COUNTS
@@ -123,6 +122,43 @@ def k_with_sigma(counts_t: CountPair, counts_2t: CountPair,
 # time-translation invariance
 # ---------------------------------------------------------------------------
 
+def _log_poisson_term(a: float, h: float) -> float:
+    """log(h^a e^-h / Gamma(a + 1)) for a >= 0 and h > 0.
+
+    From a = 10 on, -a D(h/a) - log(2 pi a)/2 - S(a) with D(u) = u - 1 -
+    log u and S the Stirling series of lgamma(a + 1): a log h, h and
+    lgamma(a + 1) reach thousands at large dof and chi2, and their plain
+    difference loses about 1e-12 relative to rounding.
+    """
+    if a < 10.0:
+        return a * math.log(h) - h - math.lgamma(a + 1.0)
+    d = (h - a) / a
+    deviance = d - (math.log1p(d) if d > -0.5 else math.log(h) - math.log(a))
+    inv = 1.0 / (a * a)
+    stirling = (1 / 12 - inv * (1 / 360 - inv * (1 / 1260 - inv * (1 / 1680 - inv / 1188)))) / a
+    return -a * deviance - 0.5 * math.log(2.0 * math.pi * a) - stirling
+
+
+def chi2_survival(dof: int, chi2: float) -> float:
+    """P(X >= chi2) for X chi-square with an integer dof >= 1.
+
+    With h = chi2/2 this is the finite sum e^-h sum_{j < dof/2} h^j/j!
+    for even dof, and erfc(sqrt h) + e^-h sum_{j < (dof-1)/2}
+    h^(j+1/2)/Gamma(j + 3/2) for odd dof, summed relative to its largest
+    term in log space so that nothing under- or overflows early.
+    """
+    if dof < 1:
+        raise DomainError(f"dof must be >= 1, got {dof}")
+    h = 0.5 * chi2
+    if h <= 0.0:
+        return 1.0
+    odd = dof % 2
+    logs = [_log_poisson_term(j + 0.5 * odd, h) for j in range(dof // 2)]
+    top = max(logs, default=0.0)
+    tail = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    return min(1.0, (math.erfc(math.sqrt(h)) if odd else 0.0) + tail)
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """Chi-square homogeneity test of Q_hat across probe times.
@@ -229,7 +265,7 @@ def invariance_test(taus, ts, n_target, n_complement,
             var = q_bar * (1.0 - q_bar) / totals[k]
             chi2 += float(np.sum((q_hat[k] - q_bar) ** 2 / var))
     dof = int(taus.size * (ts.size - 1))
-    p_value = float(chdtrc(dof, chi2))
+    p_value = chi2_survival(dof, chi2)
     grid = tuple((float(t), float(tau)) for tau in taus for t in ts)
     return InvarianceReport(
         grid=grid,
@@ -363,13 +399,11 @@ def markovianity_test(state_a: DensityMatrix, state_b: DensityMatrix,
         distances = [trace_distance(a, b) for a, b in zip(evolved_a, evolved_b)]
         return monotonicity_check(times, distances, threshold=1e-12)
 
-    fitted_a = []
-    fitted_b = []
-    for k in range(len(times)):
-        data_a = simulate_tomography(evolved_a[k], shots, seed, stream_index=2 * k)
-        data_b = simulate_tomography(evolved_b[k], shots, seed, stream_index=2 * k + 1)
-        fitted_a.append(mle_reconstruct(data_a).rho)
-        fitted_b.append(mle_reconstruct(data_b).rho)
+    # stream 2k holds the counts of state a at time k, 2k + 1 those of b
+    fitted_a = [mle_reconstruct(simulate_tomography(rho, shots, seed, 2 * k)).rho
+                for k, rho in enumerate(evolved_a)]
+    fitted_b = [mle_reconstruct(simulate_tomography(rho, shots, seed, 2 * k + 1)).rho
+                for k, rho in enumerate(evolved_b)]
     distances = [trace_distance(a, b) for a, b in zip(fitted_a, fitted_b)]
     sigmas = _bootstrap_distance_sigmas(fitted_a, fitted_b, shots, seed, n_bootstrap)
     step_sigmas = [

@@ -9,11 +9,10 @@ Reconstruction is offered two ways.  Linear inversion reads the Bloch
 vector off the frequencies, r = (2 p_{H+V} - 1, 2 p_{H+iV} - 1,
 p_H - p_V), and maps an unphysical |r| > 1 to r/|r|, which is exactly
 the eigenvalue clip and renormalization of the 2x2 matrix.  Maximum
-likelihood maximizes the per-basis binomial likelihood on the
-Cholesky-factorized PSD parametrization rho = T'T/tr, iterated with a
-gradient (L-BFGS) ascent started from the factor of the projected
-linear inversion, so its likelihood can never fall below the linear
-estimate.
+likelihood (Hradil, PRA 55, R1561, 1997) is exact: the likelihood is a
+product of one binomial per Bloch axis, so the estimate is the linear
+inversion if that lies in the Bloch ball, else the point of the sphere
+where the Lagrange condition holds, found by a 1-D search.
 """
 
 import json
@@ -21,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._rng import STREAM_TOMOGRAPHY, stream
 from .errors import DomainError, InvariantViolation
-from .quantum import DensityMatrix, PolarState
+from .quantum import DensityMatrix
 
 BASIS_LABELS = ("H", "V", "H+iV", "H+V")
 
@@ -38,15 +36,10 @@ _ANALYZERS = np.array(
 # below -1e-12, so noiseless data of a pure state is left as it is
 _PROJECT_TOL = 2e-12
 
-
-def default_bases():
-    """The four analyzer states, in the fixed measurement order."""
-    return (
-        PolarState.h(),
-        PolarState.v(),
-        PolarState.hv_circular(),
-        PolarState.hv_diagonal(),
-    )
+# the MLE search on the sphere stops when |r| is within 2 ulps of 1 or
+# its bracket has closed to that relative width
+_SPHERE_TOL = 4e-16
+_MAX_ITER = 200
 
 
 def analyzer_probabilities(r) -> np.ndarray:
@@ -107,15 +100,15 @@ class TomographyData:
 class ReconstructionResult:
     """Output of mle_reconstruct.
 
-    ll_path records the accepted-iterate log-likelihoods, which are
-    non-decreasing by construction of the line search.
+    iterations counts the steps of the search for the Lagrange
+    multiplier on the sphere, 0 when the estimate lies inside the ball;
+    converged is false only if that search ran out of steps.
     """
 
     rho: DensityMatrix
     log_likelihood: float
     iterations: int
     converged: bool
-    ll_path: tuple = ()
 
     def to_json(self) -> str:
         m = self.rho.elements
@@ -184,98 +177,63 @@ def log_likelihood(rho: DensityMatrix, data: TomographyData) -> float:
     return float(n @ np.log(p) + (data.shots_per_basis - n) @ np.log(1.0 - p))
 
 
-def _factor_bloch(theta):
-    """u and s with r = u/s the Bloch vector of T'T/tr(T'T), where
-    T = [[t0, 0], [t2 + i t3, t1]] and s = tr(T'T)."""
-    t0, t1, t2, t3 = theta
-    u = np.array([2.0 * t1 * t2, 2.0 * t1 * t3, t0 * t0 + t2 * t2 + t3 * t3 - t1 * t1])
-    return u, float(theta @ theta)
+def _axis_root(a, b, lam: float) -> np.ndarray:
+    """Per axis, the root in [-1, 1] of lam x^3 - (a + b + lam) x + (a - b).
 
-
-def _start_factor(r) -> np.ndarray:
-    """theta of the reverse-Cholesky factor T, T'T = (rho + eps I)/(1 + 2 eps).
-
-    The eps shift keeps T invertible at a pure linear-inversion estimate.
-    T'T = [[t0^2 + |c|^2, conj(c) t1], [c t1, t1^2]] with c = t2 + i t3,
-    so t1 = sqrt(rho_11), c = rho_10/t1 and t0 = sqrt(det(rho)/rho_11).
+    The cubic is positive at -1 and negative at 1 and always has three
+    real roots; this is the middle one, in the trigonometric form
+    -2 m sin(arcsin(c)/3), which stays accurate as lam -> 0.  lam > 0.
     """
-    x, y, z = r
-    eps = 1e-12
-    norm = 1.0 + 2.0 * eps
-    rho11 = (0.5 * (1.0 - z) + eps) / norm
-    det = (0.25 * max(1.0 - (x * x + y * y + z * z), 0.0) + eps + eps * eps) / norm**2
-    t1 = math.sqrt(rho11)
-    return np.array([math.sqrt(det / rho11), t1, 0.5 * x / norm / t1, 0.5 * y / norm / t1])
+    s = a + b + lam
+    m = np.sqrt(s / (3.0 * lam))
+    c = np.clip(-1.5 * (a - b) / s * np.sqrt(3.0 * lam / s), -1.0, 1.0)
+    return -2.0 * m * np.sin(np.arcsin(c) / 3.0)
 
 
-def mle_reconstruct(data: TomographyData, tol: float = 1e-10,
-                    max_iter: int = 10**4) -> ReconstructionResult:
-    """Maximum-likelihood state estimate on rho = T'T / tr(T'T).
+def mle_reconstruct(data: TomographyData) -> ReconstructionResult:
+    """Maximum-likelihood state estimate over the Bloch ball.
 
-    T is lower triangular with real diagonal (4 real parameters), so
-    every iterate is PSD with unit trace by construction.  The gradient
-    iteration starts at the projected linear inversion and stops when
-    the log-likelihood improvement drops below tol.
+    The likelihood separates into one binomial per Bloch axis, so its
+    maximum over all of R^3 is the linear inversion (a - b)/(a + b).
+    Inside the ball that is the estimate.  Outside, the estimate lies
+    on the sphere, where a/(1 + x) - b/(1 - x) = lam x on each axis
+    (the cubic of _axis_root) and |r(lam)| falls as lam grows; a
+    Newton search on 1/|r(lam)| = 1, kept inside a bisection bracket,
+    finds lam.  iterations counts its steps (0 inside the ball).
     """
-    if float(np.sum(data.counts)) < 4.0:
-        raise DomainError("need at least 4 total counts across the bases")
-    if tol <= 0.0 or max_iter < 1:
-        raise DomainError("tol must be > 0 and max_iter >= 1")
+    # log L = sum a log(1 + r) + b log(1 - r) over the axes x, y, z: H+V
+    # and H+iV pass with (1 + x)/2 and (1 + y)/2, and the H and V passes
+    # are 2 shots draws of z, n_H + shots - n_V of them towards +z
+    n_h, n_v, n_circ, n_diag = data.counts
     shots = data.shots_per_basis
-    counts = data.counts
-    misses = shots - counts
-
-    def objective(theta):
-        u, scale = _factor_bloch(theta)
-        p = np.clip(analyzer_probabilities(u / scale), 1e-14, 1.0 - 1e-14)
-        ll = counts @ np.log(p) + misses @ np.log(1.0 - p)
-        # dLL/dr, then the chain rule through r = u / scale
-        g = 0.5 * (counts / p - misses / (1.0 - p)) @ _ANALYZERS
-        t0, t1, t2, t3 = theta
-        du = 2.0 * np.array([[0.0, t2, t1, 0.0], [0.0, t3, 0.0, t1], [t0, -t1, t2, t3]])
-        grad = (g @ du - 2.0 * (g @ u) / scale * theta) / scale
-        return -ll, -grad
-
-    li_rho = linear_inversion(data)
-    theta0 = _start_factor(li_rho.bloch())
-
-    ll_path = []
-
-    def record(theta):
-        ll_path.append(-objective(theta)[0])
-
-    total_counts = 4.0 * shots
-    result = minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": max_iter,
-            "ftol": tol / max(1.0, total_counts),
-            "gtol": 1e-12,
-            "maxls": 50,
-        },
-    )
-    u, scale = _factor_bloch(result.x)
-    rho = DensityMatrix.from_bloch(*(u / scale))
-    final_ll = float(-result.fun)
-    # a line-search abort at an already-optimal start reports failure;
-    # a vanishing gradient is still convergence
-    grad_small = float(np.max(np.abs(result.jac))) <= 1e-4 * math.sqrt(max(1.0, total_counts))
-    converged = bool(result.success) or grad_small
-
-    li_ll = log_likelihood(li_rho, data)
-    if final_ll < li_ll - max(tol, 1e-9 * abs(li_ll)):
-        raise InvariantViolation(
-            "optimizer ended below the linear-inversion likelihood "
-            f"({final_ll} < {li_ll})"
-        )
+    a = np.array([n_diag, n_circ, n_h + shots - n_v])
+    b = np.array([shots - n_diag, shots - n_circ, shots - n_h + n_v])
+    r = (a - b) / (a + b)
+    norm = float(np.linalg.norm(r))
+    iterations = 0
+    converged = norm <= 1.0
+    if not converged:
+        # at the optimum lam = sum x (a/(1 + x) - b/(1 - x)) <= sum max(a, b)/2
+        lam, lo, hi = 0.0, 0.0, 0.5 * float(np.sum(np.maximum(a, b)))
+        while not converged and iterations < _MAX_ITER:
+            # dx/dlam from the cubic, then a Newton step on 1/|r| - 1; the
+            # denominator vanishes only at a double root (an axis with no
+            # counts on one side leaving its pole), and then the step bisects
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dx = r * (1.0 - r * r) / (3.0 * lam * r * r - a - b - lam)
+            slope = -float(r @ dx) / norm**3
+            step = lam - (1.0 / norm - 1.0) / slope if 0.0 < slope < math.inf else hi
+            lam = step if lo < step < hi else 0.5 * (lo + hi)
+            r = _axis_root(a, b, lam)
+            norm = float(np.linalg.norm(r))
+            iterations += 1
+            lo, hi = (lam, hi) if norm > 1.0 else (lo, lam)
+            converged = abs(norm - 1.0) <= _SPHERE_TOL or hi - lo <= _SPHERE_TOL * hi
+        r = r / norm
+    rho = DensityMatrix.from_bloch(*r)
     return ReconstructionResult(
         rho=rho,
-        log_likelihood=final_ll,
-        iterations=int(result.nit),
+        log_likelihood=log_likelihood(rho, data),
+        iterations=iterations,
         converged=converged,
-        ll_path=tuple(ll_path),
     )

@@ -10,7 +10,18 @@ forms to it.
 import numpy as np
 
 from lgi_echo._rng import STREAM_BOOTSTRAP, stream
-from lgi_echo.tomography import default_bases
+from lgi_echo.quantum import PolarState
+
+
+def default_bases():
+    """The four analyzer states, in the measurement order of
+    tomography.BASIS_LABELS."""
+    return (
+        PolarState.h(),
+        PolarState.v(),
+        PolarState.hv_circular(),
+        PolarState.hv_diagonal(),
+    )
 
 
 def matrix(r):

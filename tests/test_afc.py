@@ -5,8 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import scipy_oracle
 from lgi_echo.afc import (
+    _FWHM_TO_SIGMA,
+    _tooth_characteristic,
     AtomEnsemble,
     CombSpec,
     EchoTrace,
@@ -235,6 +239,13 @@ class TestEchoEfficiency:
             eff = echo_efficiency(spec, t, prefactor=1.0)
             assert math.isfinite(eff)
             assert eff == pytest.approx(edges, rel=1e-2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fwhm=st.floats(0.1 * MHZ, 7.9 * MHZ), t=st.floats(0.0, 2000 * NS))
+    def test_tooth_quadrature_matches_the_faddeeva_form(self, fwhm, t):
+        sigma = fwhm * _FWHM_TO_SIGMA
+        quadrature = _tooth_characteristic(sigma, 4 * MHZ, t)
+        assert abs(quadrature - scipy_oracle.tooth_characteristic(sigma, 4 * MHZ, t)) <= 1e-10
 
     def test_doubling_tooth_width_reduces_efficiency(self):
         narrow = CombSpec(8 * MHZ, 1 * MHZ, 100 * MHZ)

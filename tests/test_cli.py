@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lgi_echo
@@ -197,6 +198,30 @@ class TestRun:
         assert f"{section}.{key} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shots", [1, 2, 3])
+    def test_a_few_shots_per_basis_run(self, tmp_path, capsys, shots):
+        # fewer than 4 counts across the bases are common here; the MLE is
+        # defined for any counts
+        for scenario in ("markovianity", "tomography_demo"):
+            path = write_config(tmp_path, {"scenario": scenario, "statistics": {
+                "shots_per_basis": shots}})
+            for seed in range(5):
+                out = tmp_path / f"{scenario}-{shots}-{seed}"
+                assert main(["run", scenario, "--config", path, "--seed", str(seed),
+                             "--out", str(out)]) == EXIT_OK
+                if scenario == "markovianity":
+                    rows = (out / "distance.csv").read_text().splitlines()[2:]
+                    distances = [float(row.split(",")[1]) for row in rows]
+                    assert all(0.0 <= d <= 1.0 + 1e-12 for d in distances)
+                    continue
+                doc = json.loads((out / "reconstruction.json").read_text())
+                rho = np.array([[complex(re, im) for re, im in row] for row in doc["rho"]])
+                assert abs(np.trace(rho) - 1.0) < 1e-12
+                assert np.allclose(rho, rho.conj().T, atol=1e-15)
+                assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+                assert doc["converged"] is True
+        capsys.readouterr()
+
     def test_bad_seed_override_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, FAST_ENVELOPE)
         assert main(["run", "lgi_envelope", "--config", path,
@@ -212,6 +237,37 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(
             "runtime error [lgi_envelope]:")
+
+    def test_rerun_leaves_no_file_of_the_earlier_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, FAST_ENVELOPE)
+        out = tmp_path / "out"
+        assert main(["run", "lgi_envelope", "--config", path, "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["envelope.csv", "summary.json"]
+        assert main(["run", "lgi_envelope", "--config", path, "--seed", "2",
+                     "--out", str(out), "--format", "csv"]) == EXIT_OK
+        assert os.listdir(out) == ["envelope.csv"]
+        assert "seed=2" in (out / "envelope.csv").read_text().splitlines()[0]
+        # a file the scenario does not own stays
+        (out / "notes.txt").write_text("kept")
+        assert main(["run", "lgi_envelope", "--config", path, "--seed", "3",
+                     "--out", str(out), "--format", "json"]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["notes.txt", "summary.json"]
+
+    def test_failed_rerun_leaves_no_file_of_the_earlier_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        path = write_config(tmp_path, FAST_ENVELOPE)
+        out = tmp_path / "out"
+        assert main(["run", "lgi_envelope", "--config", path, "--out", str(out)]) == EXIT_OK
+        (out / "notes.txt").write_text("kept")
+
+        def broken(config):
+            raise ValueError("numpy says no")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "lgi_envelope", broken)
+        assert main(["run", "lgi_envelope", "--config", path,
+                     "--out", str(out)]) == EXIT_RUNTIME
+        assert os.listdir(out) == ["notes.txt"]
 
     def test_unexpected_exception_exits_3_with_one_line(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -232,11 +288,12 @@ class TestRun:
 # start-up cost
 # ---------------------------------------------------------------------------
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats alone takes about half a second to import
+def test_import_leaves_out_scipy():
+    # importing scipy.special and scipy.optimize took most of a CLI start
     src = os.path.dirname(os.path.dirname(lgi_echo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, lgi_echo.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, lgi_echo.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

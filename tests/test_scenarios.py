@@ -10,7 +10,13 @@ import pytest
 from lgi_echo import __version__
 from lgi_echo.config import parse_config
 from lgi_echo.errors import DomainError, InvariantViolation
-from lgi_echo.scenarios import RunReport, _atomic_write, emit_report, run_scenario
+from lgi_echo.scenarios import (
+    _ARTIFACTS,
+    RunReport,
+    _atomic_write,
+    emit_report,
+    run_scenario,
+)
 from lgi_echo.stationarity import DEFAULT_FAMILIES
 
 DIGEST = "0" * 64
@@ -308,6 +314,19 @@ class TestOutputs:
                                                     workers=3)), subdir="b")
         assert read(a, "g2.csv") == read(b, "g2.csv")
         assert read(a, "summary.json") == read(b, "summary.json")
+
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "lgi_envelope"},
+        {"scenario": "stationarity_grid"},
+        {"scenario": "markovianity", "statistics": {"shots_per_basis": 1000}},
+        {"scenario": "g2_vs_storage", "statistics": {"trials": 100_000_000}},
+        {"scenario": "echo_trace"},
+        {"scenario": "tomography_demo"},
+    ])
+    def test_artifact_table_names_every_output(self, tmp_path, doc):
+        rep = run(tmp_path, doc)
+        names = sorted(os.path.basename(p) for p in rep.outputs)
+        assert names == sorted(_ARTIFACTS[doc["scenario"]] + ("summary.json",))
 
     def test_failure_removes_partial_outputs(self, tmp_path):
         out = tmp_path / "out"

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qubit_oracle as oracle
+import scipy_oracle
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.lgi import ExcitationState, conditional_probability, k_functionals
 from lgi_echo.quantum import Channel, DensityMatrix, trace_distance
 from lgi_echo.stationarity import (
     _bootstrap_distance_sigmas,
     DEFAULT_FAMILIES,
+    chi2_survival,
     CountPair,
     InvarianceReport,
     MonotonicityReport,
@@ -318,6 +320,36 @@ class TestInvarianceTest:
         assert doc["dof"] == rep.dof
         assert doc["passed"] is True
         assert len(doc["grid_ns"]) == 40
+
+
+class TestChi2Survival:
+    @settings(max_examples=400, deadline=None)
+    @given(dof=st.integers(1, 1000), chi2=st.floats(0.0, 3000.0))
+    def test_matches_chdtrc(self, dof, chi2):
+        expected = scipy_oracle.chdtrc(dof, chi2)
+        assume(expected > 1e-300)
+        p = chi2_survival(dof, chi2)
+        if abs(p - expected) > 1e-12 * expected:
+            # where chdtrc itself is off by more, the series must be
+            # closer still to the 40-digit value
+            exact = scipy_oracle.chi2_survival_40_digits(dof, chi2)
+            assert abs(p - exact) <= 1e-13 * exact
+
+    def test_chdtrc_error_region_is_settled_by_the_exact_value(self):
+        # chdtrc is 1.2e-12 off here; the series is within 1e-14
+        dof, chi2 = 968, 1497.599716654618
+        exact = scipy_oracle.chi2_survival_40_digits(dof, chi2)
+        assert abs(chi2_survival(dof, chi2) - exact) <= 1e-13 * exact
+
+    def test_small_dof_closed_forms(self):
+        for chi2 in (0.0, 0.5, 3.0, 40.0):
+            assert chi2_survival(1, chi2) == math.erfc(math.sqrt(chi2 / 2.0))
+            assert chi2_survival(2, chi2) == pytest.approx(math.exp(-chi2 / 2.0),
+                                                           rel=1e-15)
+
+    def test_bad_dof_rejected(self):
+        with pytest.raises(DomainError):
+            chi2_survival(0, 1.0)
 
 
 # ---------------------------------------------------------------------------

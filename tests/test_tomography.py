@@ -4,16 +4,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qubit_oracle as oracle
-from lgi_echo.errors import DomainError, InvariantViolation
+import scipy_oracle
+from lgi_echo.errors import InvariantViolation
 from lgi_echo.lgi import ExcitationState, state_at
 from lgi_echo.quantum import DensityMatrix, PolarState, born_probability, trace_distance
 from lgi_echo.tomography import (
     BASIS_LABELS,
     TomographyData,
-    default_bases,
     exact_tomography,
     analyzer_probabilities,
     linear_inversion,
@@ -147,19 +147,6 @@ class TestMleReconstruct:
             li = linear_inversion(data)
             assert res.log_likelihood >= log_likelihood(li, data) - 1e-6
 
-    def test_log_likelihood_non_decreasing(self):
-        rng = np.random.default_rng(39)
-        checked = 0
-        for _ in range(50):
-            target = random_pure_rho(rng)
-            data = simulate_tomography(target, 1000, seed=int(rng.integers(1 << 30)))
-            res = mle_reconstruct(data)
-            if len(res.ll_path) >= 2:
-                diffs = np.diff(res.ll_path)
-                assert np.all(diffs >= -1e-9)
-                checked += 1
-        assert checked > 0
-
     def test_psd_on_adversarial_counts(self):
         patterns = [
             [100.0, 0.0, 0.0, 0.0],
@@ -194,16 +181,95 @@ class TestMleReconstruct:
             ratio = medians[i] / medians[i + 1]
             assert np.sqrt(10) / 2 < ratio < 2 * np.sqrt(10)
 
-    def test_too_few_counts_rejected(self):
-        with pytest.raises(DomainError):
-            mle_reconstruct(TomographyData(10, np.array([1.0, 1.0, 0.0, 0.0])))
-
     def test_json_export(self):
         res = mle_reconstruct(exact_tomography(PolarState.h().density()))
         doc = json.loads(res.to_json())
         assert doc["converged"] is True
         assert doc["rho"][0][0][0] == pytest.approx(1.0, abs=1e-6)
         assert doc["rho"][0][0][1] == pytest.approx(0.0, abs=1e-9)
+
+
+def _ball_grid(n_directions=4000, n_radii=40):
+    """Bloch vectors spread over the ball: a Fibonacci sphere of
+    directions at evenly spaced radii, the outermost 1."""
+    k = np.arange(n_directions) + 0.5
+    z = 1.0 - 2.0 * k / n_directions
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+    ring = np.sqrt(1.0 - z * z)
+    directions = np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=-1)
+    radii = np.linspace(1.0 / n_radii, 1.0, n_radii)
+    return (radii[:, None, None] * directions).reshape(-1, 3)
+
+
+_GRID_P = np.clip(analyzer_probabilities(_ball_grid()), 1e-300, 1.0 - 1e-16)
+_GRID_LOG_P, _GRID_LOG_Q = np.log(_GRID_P), np.log(1.0 - _GRID_P)
+
+
+@st.composite
+def _sampled_data(draw):
+    """Counts of a random state, pure (so often fitted on the sphere) or
+    mixed, at 1e1-1e5 shots per basis."""
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    length = float(np.linalg.norm(v))
+    if length < 1e-3:
+        v, length = np.array([0.0, 0.0, 1.0]), 1.0
+    radius = 1.0 if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    rho = DensityMatrix.from_bloch(*(v / length * radius))
+    shots = int(round(10.0 ** draw(st.floats(1.0, 5.0))))
+    return simulate_tomography(rho, shots, seed=draw(st.integers(0, 2**32)))
+
+
+class TestMleAgainstTheOptimizer:
+    """The closed-form MLE against the L-BFGS fit on rho = T'T/tr(T'T)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_sampled_data())
+    @example(data=TomographyData(75, np.array([75.0, 0.0, 40.0, 39.0])))
+    def test_matches_lbfgs(self, data):
+        res = mle_reconstruct(data)
+        assert res.converged
+        shots = data.shots_per_basis
+        fitted = DensityMatrix.from_bloch(*scipy_oracle.lbfgs_bloch(data.counts, shots))
+        ll_fitted = log_likelihood(fitted, data)
+        assert res.log_likelihood >= ll_fitted - 1e-9 * abs(ll_fitted)
+        # At its default tolerance the optimizer can stop up to 3e-6 short
+        # where a basis saw no clicks (75 shots, counts 75/0/40/39: there the
+        # closed form has the higher likelihood, by 2.8e-9); run longer, it
+        # reaches the closed form.
+        fitted = DensityMatrix.from_bloch(
+            *scipy_oracle.lbfgs_bloch(data.counts, shots, tol=1e-13))
+        assert trace_distance(res.rho, fitted) <= 1e-6
+
+    def test_fits_on_the_sphere_are_covered(self):
+        # pure states at 100 shots land outside the ball about half the time
+        rng = np.random.default_rng(47)
+        on_sphere = 0
+        for k in range(40):
+            data = simulate_tomography(random_pure_rho(rng), 100, seed=k)
+            res = mle_reconstruct(data)
+            if res.iterations:
+                on_sphere += 1
+                assert np.linalg.norm(res.rho.bloch()) == pytest.approx(1.0, abs=1e-15)
+                fitted = DensityMatrix.from_bloch(
+                    *scipy_oracle.lbfgs_bloch(data.counts, 100, tol=1e-13))
+                assert trace_distance(res.rho, fitted) <= 1e-6
+        assert on_sphere >= 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.integers(1, 20).flatmap(lambda shots: st.tuples(
+        st.just(shots), st.lists(st.integers(0, shots), min_size=4, max_size=4))))
+    def test_any_counts_give_the_best_state_on_a_grid(self, data):
+        # defined for any counts, however few: a state whose likelihood no
+        # point of a dense grid over the ball beats
+        shots, counts = data
+        data = TomographyData(shots, np.array(counts, dtype=np.float64))
+        res = mle_reconstruct(data)
+        assert res.converged
+        assert np.linalg.norm(res.rho.bloch()) <= 1.0 + 1e-15
+        assert res.rho.eigenvalues()[0] >= -1e-15
+        n = data.counts
+        best = float(np.max(_GRID_LOG_P @ n + _GRID_LOG_Q @ (shots - n)))
+        assert res.log_likelihood >= best - 1e-12 * abs(best)
 
 
 def test_analyzer_probabilities_are_the_analyzer_projections():
@@ -215,7 +281,7 @@ def test_analyzer_probabilities_are_the_analyzer_projections():
 
 
 def test_default_bases_are_the_four_analyzers():
-    labels_states = dict(zip(BASIS_LABELS, default_bases()))
+    labels_states = dict(zip(BASIS_LABELS, oracle.default_bases()))
     assert born_probability(PolarState.h(), labels_states["H"]) == 1.0
     assert born_probability(PolarState.v(), labels_states["V"]) == 1.0
     assert born_probability(
