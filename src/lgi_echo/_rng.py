@@ -36,8 +36,10 @@ STREAM_SCENARIO = 8
 # layout 4 takes the same draws and computes tomography and
 # Markovianity on Bloch vectors instead of 2x2 matrices, which moves the
 # last digits of their reconstructed states, distances and sigmas; layout 5
-# (same draws) has a closed-form MLE, series p-values and quadrature echo efficiencies.
-STREAM_LAYOUT = 5
+# (same draws) has a closed-form MLE, series p-values and quadrature echo efficiencies;
+# layout 6 (same draws) sums the echo trace by phasor recurrence, which
+# moves the last digits of the echo_trace metrics.
+STREAM_LAYOUT = 6
 
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

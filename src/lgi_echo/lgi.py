@@ -49,13 +49,11 @@ class ExcitationState:
     """Delocalized excitation shared by two memories.
 
     detuning is the beat frequency between the memories in Hz; phase0
-    is the preparation phase (wrapped into [0, 2pi)); crystal_labels
-    name the two physical memories without affecting the dynamics.
+    is the preparation phase (wrapped into [0, 2pi)).
     """
 
     detuning: float
     phase0: float = 0.0
-    crystal_labels: tuple = ("memory-1", "memory-2")
 
     def __post_init__(self):
         if not math.isfinite(self.detuning):
@@ -66,8 +64,6 @@ class ExcitationState:
         if wrapped < 0.0:
             wrapped += TWO_PI
         object.__setattr__(self, "phase0", wrapped)
-        if len(self.crystal_labels) != 2:
-            raise InvariantViolation("crystal_labels must name exactly two memories")
 
 
 @dataclass(frozen=True)

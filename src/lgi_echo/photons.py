@@ -27,7 +27,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .afc import CombSpec, echo_efficiency, retrieve_polarization
+from .afc import (_ECHO_FWHM_FACTOR, _SIGMA_TO_FWHM, CombSpec, echo_efficiency,
+                  retrieve_polarization)
 from .errors import ConfigurationError, DomainError, InvariantViolation, UndefinedEstimateError
 from .lgi import ExcitationState
 from .quantum import PolarState, born_probability
@@ -345,14 +346,12 @@ def _comb_transmission(spec: CombSpec) -> float:
     """Spectral average of exp(-depth) over one grating period."""
     delta = spec.periodicity_delta
     omega = (np.arange(2048) + 0.5) / 2048.0 * delta - delta / 2.0
+    # zero-width teeth absorb a measure-zero slice: depth stays 0
     depth = np.zeros_like(omega)
     if spec.tooth_fwhm > 0.0:
-        sig = spec.tooth_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        sig = spec.tooth_fwhm / _SIGMA_TO_FWHM
         for m in range(-6, 7):
             depth += np.exp(-0.5 * ((omega - m * delta) / sig) ** 2)
-    else:
-        # zero-width teeth absorb a measure-zero slice
-        depth[:] = 0.0
     trans = np.exp(-spec.optical_depth * depth).mean()
     return float(trans * math.exp(-spec.background_depth))
 
@@ -606,12 +605,12 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
     )
 
     if memory is None:
-        sigma_in = 5e-9 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        sigma_in = 5e-9 / _SIGMA_TO_FWHM
         sigmas = np.array([sigma_in])
     else:
-        sigma_in = memory.photon_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        echo_fwhm = 0.886 / memory.comb_h.bandwidth
-        sigma_echo = math.hypot(sigma_in, echo_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0))))
+        sigma_in = memory.photon_fwhm / _SIGMA_TO_FWHM
+        echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb_h.bandwidth
+        sigma_echo = math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)
         sigmas = np.array([sigma_in] + [sigma_echo] * len(orders))
     return orders, np.cumsum(click_probs), np.array(centers), sigmas
 
@@ -761,17 +760,15 @@ def g2_cross(hist: CoincidenceHistogram) -> G2Result:
     return G2Result(float(g2), float(sigma), int(n_peak), int(n_offset))
 
 
-def heralded_autocorr_bound(g2_si: float, bound_fn=None) -> float:
-    """Upper bound on the heralded signal autocorrelation.
+def heralded_autocorr_bound(g2_si: float) -> float:
+    """Upper bound 4/g2_si on the heralded signal autocorrelation.
 
-    The default rule 4/x is monotone decreasing and crosses 1 (the
-    single-photon boundary) at g2_si = 4.
+    The rule is monotone decreasing and crosses 1 (the single-photon
+    boundary) at g2_si = 4.
     """
     if not g2_si > 0.0:
         raise DomainError(f"g2_si must be positive, got {g2_si}")
-    if bound_fn is None:
-        bound_fn = lambda x: 4.0 / x
-    return float(bound_fn(g2_si))
+    return float(4.0 / g2_si)
 
 
 def storage_histograms(source: SourceParams, memory: MemoryConfig,

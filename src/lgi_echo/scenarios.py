@@ -315,12 +315,10 @@ def _run_g2_vs_storage(config: ScenarioConfig):
 
 def _run_echo_trace(config: ScenarioConfig):
     physics = config.physics
-    stats = config.statistics
     comb_h, _ = physics.comb_pair()
-    ensemble = sample_ensemble(comb_h, physics.n_atoms, stats.seed)
+    ensemble = sample_ensemble(comb_h, physics.n_atoms, config.statistics.seed)
     period = 1.0 / physics.grating_delta
-    trace = echo_trace(ensemble, t_max=2.5 * period, bin_width=2e-9,
-                       workers=stats.workers)
+    trace = echo_trace(ensemble, t_max=2.5 * period, bin_width=2e-9)
     t1, i1 = trace_peak(trace, 0.5 * period, 1.5 * period)
     t2, i2 = trace_peak(trace, 1.5 * period, 2.5 * period)
     width = trace_fwhm(trace, t1)

@@ -152,18 +152,17 @@ def exact_tomography(rho_true: DensityMatrix, shots_per_basis: int = 10**6) -> T
 # linear inversion
 # ---------------------------------------------------------------------------
 
-def linear_inversion(data: TomographyData, with_flag: bool = False):
+def linear_inversion(data: TomographyData) -> DensityMatrix:
     """Stokes-parameter inversion of the four measured frequencies.
 
     z comes from the H/V pair (which also carries the normalization),
     x from H+V and y from H+iV.  A Bloch vector longer than 1 is scaled
     back onto the sphere, which is the truncation of the negative
-    eigenvalue with renormalization; the boolean flag (second return
-    value when with_flag) records whether that happened.
+    eigenvalue with renormalization; bloch_from_frequencies reports
+    whether that happened.
     """
-    r, projected = bloch_from_frequencies(data.frequencies())
-    rho = DensityMatrix.from_bloch(*r)
-    return (rho, bool(projected)) if with_flag else rho
+    r, _ = bloch_from_frequencies(data.frequencies())
+    return DensityMatrix.from_bloch(*r)
 
 
 # ---------------------------------------------------------------------------

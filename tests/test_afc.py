@@ -5,16 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scipy_oracle
+from dipole_oracle import dipole_intensity
 from lgi_echo.afc import (
     _FWHM_TO_SIGMA,
+    _TRACE_SLICE,
     _tooth_characteristic,
     AtomEnsemble,
     CombSpec,
     EchoTrace,
-    dipole_intensity,
     echo_efficiency,
     echo_trace,
     retrieve_polarization,
@@ -157,11 +158,23 @@ class TestEchoTrace:
         assert np.all(np.diff(tr.intensity) < 0.02)
         assert tr.intensity[-1] < 0.05
 
-    def test_worker_count_does_not_change_bits(self):
-        ens = sample_ensemble(PAPER_COMB, 4000, seed=5)
-        t1 = echo_trace(ens, 300 * NS, 0.5 * NS, workers=1)
-        t4 = echo_trace(ens, 300 * NS, 0.5 * NS, workers=4)
-        assert np.array_equal(t1.intensity, t4.intensity)
+    @settings(max_examples=20, deadline=None)
+    @given(n_atoms=st.integers(1, 20000), bin_ns=st.floats(0.5, 10.0),
+           n_bins=st.integers(2, 3 * _TRACE_SLICE + 1), seed=st.integers(0, 2**32))
+    @example(n_atoms=1, bin_ns=10.0, n_bins=2 * _TRACE_SLICE + 1, seed=0)
+    @example(n_atoms=20000, bin_ns=10.0, n_bins=3 * _TRACE_SLICE + 1, seed=3)
+    @example(n_atoms=20000, bin_ns=0.5, n_bins=2 * _TRACE_SLICE + 2, seed=4)
+    def test_recurrence_matches_dense_oracle(self, n_atoms, bin_ns, n_bins, seed):
+        # the phasor recurrence against the direct cos/sin sum, across slice
+        # restarts, with unequal weights so that each w_j^2 counts
+        comb = sample_ensemble(PAPER_COMB, n_atoms, seed)
+        w = np.random.default_rng(seed).random(n_atoms) + 0.1
+        w /= math.sqrt(np.sum(w * w))
+        ens = AtomEnsemble(comb.detunings, w, comb.tooth_indices, n_atoms)
+        tr = echo_trace(ens, n_bins * bin_ns * NS, bin_ns * NS)
+        assert tr.times.size == n_bins
+        expect = dipole_intensity(ens.weights**2, ens.detunings, tr.times)
+        assert np.max(np.abs(tr.intensity - expect / expect[0])) < 1e-12
 
     def test_empty_and_bad_bins_rejected(self):
         ens = sample_ensemble(PAPER_COMB, 10, seed=1)

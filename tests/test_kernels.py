@@ -1,9 +1,9 @@
-"""The two inner loops: the comb dipole sum and the dense fold oracle."""
+"""The two dense oracles: the comb dipole sum and the coincidence fold."""
 
 import numpy as np
 
+from dipole_oracle import dipole_intensity
 from fold_oracle import fold_coincidences
-from lgi_echo.afc import dipole_intensity
 
 PERIOD = 400e-9
 BIN = 2e-9
@@ -26,7 +26,7 @@ def fold_inputs(n_clicks, n_trials, seed):
 
 
 # ---------------------------------------------------------------------------
-# dipole_intensity
+# dipole_intensity (oracle)
 # ---------------------------------------------------------------------------
 
 class TestDipoleIntensity:
