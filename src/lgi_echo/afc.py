@@ -204,9 +204,9 @@ def echo_trace(ensemble: AtomEnsemble, t_max: float, bin_width: float) -> EchoTr
         raise DomainError("cannot compute an echo from an empty ensemble")
     if bin_width <= 0.0:
         raise DomainError(f"bin_width must be positive, got {bin_width}")
-    if t_max < bin_width:
-        raise DomainError("t_max must cover at least one bin")
     n_bins = int(round(t_max / bin_width))
+    if n_bins < 2:
+        raise DomainError(f"t_max={t_max} must cover at least two bins of {bin_width}")
     times = (np.arange(n_bins) + 0.5) * bin_width
     w_sq = ensemble.weights * ensemble.weights
     omega = 2.0 * np.pi * ensemble.detunings

@@ -16,13 +16,18 @@ The pipeline works herald first, so its cost scales with heralds, not
 trials: each chunk draws the geometric gaps between its heralded
 trials, and only the trials up to noise_periods after a herald, whose
 clicks alone can pair with one, draw their other pairs, the photon
-fates and the dark and background clicks.  The fold then pairs each
-click with the few heralds of its own neighbourhood.
+fates and the dark and background clicks.  The fold pairs each click
+with the few heralds of its own neighbourhood, and takes each chunk's
+clicks as that chunk is fated, so a run holds its heralds and window
+pieces but never all of its clicks.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,8 +47,12 @@ _CHUNK = 1 << 22
 # stream index, the run index the bits above.
 MAX_TRIALS = _CHUNK << 21
 
-# Clicks folded at once; bounds the click-herald pair arrays of the fold.
-_FOLD_CLICKS = 1 << 18
+# Fewest clicks folded at once: smaller click parts are joined up to it,
+# so sparse runs fold in a few numpy calls.  Below the clicks of one
+# dense chunk (about 2.3e5 for a p = 0.1 thermal source), so such a
+# chunk folds alone, uncopied; at 2^18 two of them were joined and the
+# traced peak of a 4e7-trial run rose from 148 MB to 184 MB.
+_FOLD_CLICKS = 1 << 17
 
 # Coincidence window widths (transmitted pulse / retrieved echo).
 TRANSMITTED_WINDOW = 2e-9
@@ -476,13 +485,11 @@ def _windows(heralds: np.ndarray, reach: int, n_trials: int):
     if heralds.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    ends = np.minimum(heralds + reach + 1, n_trials)
-    # ends never decrease: an interval opens at each herald past the end
-    # of the window before it, and closes where the window before the
-    # next opening herald ends
-    opens = np.flatnonzero(np.concatenate(([True], heralds[1:] > ends[:-1])))
-    starts = heralds[opens]
-    stops = ends[np.append(opens[1:] - 1, heralds.size - 1)]
+    # an interval opens at each herald past the window of the one before
+    # and closes where the window of its last herald ends
+    gaps = np.flatnonzero(np.diff(heralds) > reach + 1)
+    starts = heralds[np.concatenate(([0], gaps + 1))]
+    stops = np.minimum(heralds[np.append(gaps, heralds.size - 1)] + reach + 1, n_trials)
     # a chunk boundary inside interval i closes it and opens the next;
     # boundaries inside one interval insert in order
     cuts = np.arange(_CHUNK, n_trials, _CHUNK, dtype=np.int64)
@@ -492,9 +499,11 @@ def _windows(heralds: np.ndarray, reach: int, n_trials: int):
     return np.insert(starts, i + 1, cuts), np.insert(stops, i, cuts)
 
 
-def _trials_at(positions: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Trial at each position of the pieces [starts, ends) laid end to end."""
-    lengths = ends - starts
+def _trials_at(positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Trial at each position of the pieces [starts, starts + lengths)
+    laid end to end."""
+    if positions.size == 0:
+        return positions
     offsets = np.cumsum(lengths)
     piece = np.searchsorted(offsets, positions, side="right")
     return positions + (starts - offsets + lengths)[piece]
@@ -510,8 +519,9 @@ def _fate_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
     heralded, and draws landing on a herald trial are dropped.
     """
     rng = stream(seed, STREAM_FATES, base_index | chunk)
-    local, mult = _unheralded_pairs(rng, source, int((ends - starts).sum()))
-    trials = _trials_at(local, starts, ends)
+    lengths = ends - starts
+    local, mult = _unheralded_pairs(rng, source, int(lengths.sum()))
+    trials = _trials_at(local, starts, lengths)
     fresh = ~np.isin(trials, herald_trials, assume_unique=True)
     photon_trials = np.repeat(np.concatenate((herald_trials, trials[fresh])),
                               np.concatenate((herald_mult, mult[fresh])))
@@ -527,32 +537,53 @@ def _fate_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
     return click_trials, times, cat
 
 
-def _fold_heralds(click_trials, click_times, click_cats, heralds, n_cats: int,
-                  period: float, bin_width: float, n_bins: int, max_lag: int):
+def _blocks(parts, size: int):
+    """Regroup a stream of (trials, times, categories) click parts into
+    blocks of at least size clicks; the last block may hold fewer.
+
+    Parts are only held until they fill a block, so a part below the
+    block size costs no numpy call of its own.
+    """
+    def joined(held):
+        return held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held)))
+
+    held, n = [], 0
+    for part in parts:
+        held.append(part)
+        n += part[0].size
+        if n >= size:
+            yield joined(held)
+            held, n = [], 0
+    if n:
+        yield joined(held)
+
+
+def _fold_heralds(parts, heralds, n_cats: int, period: float, bin_width: float,
+                  n_bins: int, max_lag: int):
     """Histogram click-herald delays per click category.
 
-    A click at in-trial time t in trial i pairs with every herald of the
-    trials i - max_lag .. i; a herald m trials back gives the delay
-    t + m * period, binned as floor(delay / bin_width), and out-of-range
-    bins are dropped.  heralds must be sorted and unique.  Clicks are
-    taken in blocks, so the pair arrays stay bounded on long runs.
-    Returns (n_cats, n_bins) int64 counts.
+    parts is an iterable of (trials, times, categories) click arrays,
+    consumed as it is produced, so a run's clicks are folded as they are
+    fated and never held at once.  A click at in-trial time t in trial i
+    pairs with every herald of the trials i - max_lag .. i; a herald m
+    trials back gives the delay t + m * period, binned as
+    floor(delay / bin_width), and out-of-range bins are dropped.
+    heralds must be sorted and unique.  The histogram is a sum over
+    blocks of _FOLD_CLICKS clicks or more, so how the clicks are split
+    into parts cannot change it.  Returns (n_cats, n_bins) int64 counts.
     """
     out = np.zeros(n_cats * n_bins, dtype=np.int64)
-    for b0 in range(0, click_trials.size, _FOLD_CLICKS):
-        block = slice(b0, b0 + _FOLD_CLICKS)
-        trials = click_trials[block]
+    for trials, times, cats in _blocks(parts, _FOLD_CLICKS):
         lo = np.searchsorted(heralds, trials - max_lag, side="left")
         n = np.searchsorted(heralds, trials, side="right") - lo
         click = np.repeat(np.arange(trials.size), n)
         # herald of each pair: its click's first herald plus its rank
         rank = np.arange(click.size) - np.repeat(np.cumsum(n) - n, n)
         m = trials[click] - heralds[lo[click] + rank]
-        delay = click_times[block][click] + m * period
+        delay = times[click] + m * period
         idx = np.floor(delay / bin_width).astype(np.int64)
         ok = (idx >= 0) & (idx < n_bins)
-        cats = click_cats[block][click[ok]]
-        out += np.bincount(cats * n_bins + idx[ok], minlength=out.size)
+        out += np.bincount(cats[click[ok]] * n_bins + idx[ok], minlength=out.size)
     return out.reshape(n_cats, n_bins)
 
 
@@ -615,11 +646,42 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
     return orders, np.cumsum(click_probs), np.array(centers), sigmas
 
 
-def _map(fn, items, workers: int) -> list:
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _map(fn, items, pool: Optional[ThreadPoolExecutor], workers: int):
+    """fn over items, lazily and in order.
+
+    A pool gets at most workers + 1 calls ahead of the consumer, enough
+    to keep it busy; pool.map would submit every call at once and hold
+    every result until it is read.
+    """
+    if pool is None:
+        yield from map(fn, items)
+        return
+    ahead = deque()
+    for item in items:
+        ahead.append(pool.submit(fn, item))
+        if len(ahead) > workers:
+            yield ahead.popleft().result()
+    while ahead:
+        yield ahead.popleft().result()
+
+
+def _noise_clicks(rng: np.random.Generator, source: SourceParams, starts: np.ndarray,
+                  ends: np.ndarray, first_cat: int):
+    """Dark, then background, click parts inside the window pieces.
+
+    No click outside them pairs with a herald.  Positions are sorted so
+    the fold looks up heralds in order, which is several times faster.
+    """
+    lengths = ends - starts
+    size = int(lengths.sum())
+    parts = []
+    for k, rate in enumerate((source.dark_rate, source.background_rate)):
+        n = rng.poisson(rate * source.trial_period * size)
+        positions = np.sort(rng.integers(0, size, n))
+        parts.append((_trials_at(positions, starts, lengths),
+                      rng.random(n) * source.trial_period,
+                      np.full(n, first_cat + k, dtype=np.int64)))
+    return parts
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
@@ -646,6 +708,8 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     n_chunks = (duration_trials + _CHUNK - 1) // _CHUNK
     period = source.trial_period
     orders, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
+    n_signal = 1 + len(orders)
+    n_bins = int(round((noise_periods + 1) * period / bin_width))
 
     # --- real heralds, each chunk from its own stream ------------------
     def heralded(c):
@@ -654,54 +718,33 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
         local, mult = _heralded_pairs(rng, source, min(_CHUNK, duration_trials - start))
         return start + local, mult
 
-    real = _map(heralded, range(n_chunks), workers)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        real = list(_map(heralded, range(n_chunks), pool, workers))
 
-    # --- false heralds and the herald windows --------------------------
-    rng_noise = stream(seed, STREAM_NOISE, run_index)
-    n_false = rng_noise.poisson(duration_trials * period * source.dark_rate)
-    false_heralds = rng_noise.integers(0, duration_trials, n_false)
-    heralds = np.concatenate([r[0] for r in real] + [false_heralds])
-    heralds.sort()
-    if heralds.size:
-        heralds = heralds[np.concatenate(([True], heralds[1:] != heralds[:-1]))]
-    starts, ends = _windows(heralds, noise_periods, duration_trials)
-    chunks = starts // _CHUNK
+        # --- false heralds and the herald windows ----------------------
+        rng_noise = stream(seed, STREAM_NOISE, run_index)
+        n_false = rng_noise.poisson(duration_trials * period * source.dark_rate)
+        false_heralds = rng_noise.integers(0, duration_trials, n_false)
+        heralds = np.concatenate([r[0] for r in real] + [false_heralds])
+        heralds.sort()
+        if heralds.size:
+            heralds = heralds[np.concatenate(([True], heralds[1:] != heralds[:-1]))]
+        starts, ends = _windows(heralds, noise_periods, duration_trials)
+        noise = _noise_clicks(rng_noise, source, starts, ends, n_signal)
 
-    # --- pairs and fates inside the windows, per chunk ------------------
-    # the pieces are in trial order, so each chunk's pieces form one run
-    cuts = np.flatnonzero(np.diff(chunks)) + 1
-    bounds = np.concatenate(([0], cuts, [chunks.size]))
-    runs = list(zip(bounds[:-1], bounds[1:])) if chunks.size else []
+        # --- pairs and fates inside the windows, per chunk --------------
+        # the pieces are in trial order, so each chunk's pieces form one
+        # run; the fold takes each chunk's clicks as they are fated
+        edges = np.searchsorted(starts, np.arange(n_chunks + 1) * _CHUNK)
+        runs = [(c, a, b) for c, (a, b) in enumerate(zip(edges[:-1], edges[1:])) if b > a]
 
-    def fates(run):
-        a, b = run
-        c = int(chunks[a])
-        return _fate_chunk(source, seed, base_index, c, starts[a:b], ends[a:b],
-                           *real[c], cum_probs, centers, sigmas, period)
+        def fates(run):
+            c, a, b = run
+            return _fate_chunk(source, seed, base_index, c, starts[a:b], ends[a:b],
+                               *real[c], cum_probs, centers, sigmas, period)
 
-    fated = _map(fates, runs, workers)
-
-    # --- dark and background clicks inside the windows -----------------
-    # no click outside them pairs with a herald; positions are sorted so
-    # the fold looks up heralds in order, which is several times faster
-    size = int((ends - starts).sum())
-    noise = []
-    for rate in (source.dark_rate, source.background_rate):
-        n = rng_noise.poisson(rate * period * size)
-        positions = np.sort(rng_noise.integers(0, size, n))
-        noise.append((_trials_at(positions, starts, ends), rng_noise.random(n) * period))
-
-    # --- fold every click category in one herald-driven pass ----------
-    n_signal = 1 + len(orders)
-    click_trials = np.concatenate([f[0] for f in fated] + [t for t, _ in noise])
-    click_times = np.concatenate([f[1] for f in fated] + [t for _, t in noise])
-    click_cats = np.concatenate(
-        [f[2] for f in fated]
-        + [np.full(t.size, n_signal + k, dtype=np.int64) for k, (t, _) in enumerate(noise)]
-    )
-    n_bins = int(round((noise_periods + 1) * period / bin_width))
-    folded = _fold_heralds(click_trials, click_times, click_cats, heralds,
-                           n_signal + 2, period, bin_width, n_bins, noise_periods)
+        folded = _fold_heralds(chain(_map(fates, runs, pool, workers), noise), heralds,
+                               n_signal + 2, period, bin_width, n_bins, noise_periods)
     labels = ["transmitted"] + [f"echo{k}" for k in orders] + ["dark", "background"]
     per_cat = [int(n) for n in folded.sum(axis=1)]
     total = folded.sum(axis=0)

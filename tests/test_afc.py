@@ -183,6 +183,17 @@ class TestEchoTrace:
         with pytest.raises(DomainError):
             echo_trace(ens, 1 * NS, 2 * NS)
 
+    @settings(max_examples=50, deadline=None)
+    @given(bin_ns=st.floats(0.5, 10.0), cover=st.floats(1.0, 1.499))
+    @example(bin_ns=1.0, cover=1.2)
+    @example(bin_ns=2.0, cover=1.0)
+    def test_one_bin_rejected_as_domain_error(self, bin_ns, cover):
+        # t_max in [bin_width, 1.5 bin_width) rounds to a single bin,
+        # which is the caller's input at fault, not an internal invariant
+        ens = sample_ensemble(PAPER_COMB, 10, seed=1)
+        with pytest.raises(DomainError, match="at least two bins"):
+            echo_trace(ens, cover * bin_ns * NS, bin_ns * NS)
+
     def test_convergence_in_atom_number(self):
         peaks = []
         for n in (1000, 10000, 100000):

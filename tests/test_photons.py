@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from lgi_echo.errors import (
     UndefinedEstimateError,
 )
 from lgi_echo.photons import (
+    _blocks,
     _fold_heralds,
     _heralded_pairs,
     _occupied,
@@ -590,6 +592,15 @@ def test_stream_layout_pins_the_simulated_histogram():
 _EDGE_TIMES = st.sampled_from([1e-12, PERIOD * (1.0 - 1e-12)])
 
 
+def _split(draw, arrays):
+    """The arrays cut at random points into consecutive parts, empty
+    parts included."""
+    n = arrays[0].size
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    bounds = [0] + cuts + [n]
+    return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 @st.composite
 def _fold_case(draw):
     n_trials = draw(st.integers(1, 40))
@@ -599,23 +610,23 @@ def _fold_case(draw):
         trial,
         st.one_of(_EDGE_TIMES, st.floats(1e-12, PERIOD * (1.0 - 1e-12))),
         st.integers(0, 2)), max_size=60))
+    arrays = (np.array([c[0] for c in clicks], dtype=np.int64),
+              np.array([c[1] for c in clicks], dtype=np.float64),
+              np.array([c[2] for c in clicks], dtype=np.int64))
     max_lag = draw(st.integers(1, 12))
     bin_width = draw(st.sampled_from([BIN, 1e-9, 7e-9]))
     block = draw(st.integers(1, 8))
-    return n_trials, heralds, clicks, max_lag, bin_width, block
+    return n_trials, heralds, arrays, _split(draw, arrays), max_lag, bin_width, block
 
 
 class TestHeraldFold:
     @settings(max_examples=300, deadline=None)
     @given(_fold_case())
     def test_matches_dense_oracle(self, case):
-        n_trials, heralds, clicks, max_lag, bin_width, block = case
-        trials = np.array([c[0] for c in clicks], dtype=np.int64)
-        times = np.array([c[1] for c in clicks], dtype=np.float64)
-        cats = np.array([c[2] for c in clicks], dtype=np.int64)
+        n_trials, heralds, (trials, times, cats), parts, max_lag, bin_width, block = case
         n_bins = int(round((max_lag + 1) * PERIOD / bin_width))
         with mock.patch.object(photons, "_FOLD_CLICKS", block):
-            got = _fold_heralds(trials, times, cats, np.array(heralds, dtype=np.int64),
+            got = _fold_heralds(iter(parts), np.array(heralds, dtype=np.int64),
                                 3, PERIOD, bin_width, n_bins, max_lag)
         mask = np.zeros(n_trials, dtype=np.uint8)
         mask[heralds] = 1
@@ -628,11 +639,56 @@ class TestHeraldFold:
     def test_empty_inputs(self):
         none = np.empty(0, dtype=np.int64)
         one = np.array([3], dtype=np.int64)
-        for trials, heralds in ((none, one), (one, none), (none, none)):
-            got = _fold_heralds(trials, np.full(trials.size, 1e-9), trials * 0,
-                                heralds, 2, PERIOD, BIN, 400, 1)
+
+        def part(trials):
+            return trials, np.full(trials.size, 1e-9), trials * 0
+
+        cases = [([], one), ([part(none)], one), ([part(none), part(none)], none),
+                 ([part(one)], none), ([part(none), part(one)], none), ([], none)]
+        for parts, heralds in cases:
+            got = _fold_heralds(iter(parts), heralds, 2, PERIOD, BIN, 400, 1)
             assert got.shape == (2, 400) and got.sum() == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 20), max_size=12), size=st.integers(1, 30))
+    def test_blocks_regroup_parts(self, sizes, size):
+        clicks = np.arange(sum(sizes), dtype=np.int64)
+        bounds = np.cumsum([0] + sizes)
+        parts = [(clicks[a:b], clicks[a:b] * 0.5, -clicks[a:b])
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        blocks = list(_blocks(iter(parts), size))
+        for k in range(3):
+            joined = (np.concatenate([b[k] for b in blocks]) if blocks
+                      else np.empty(0))
+            assert np.array_equal(joined, np.concatenate([p[k] for p in parts])
+                                  if parts else np.empty(0))
+        assert all(b[0].size >= size for b in blocks[:-1])
+        assert all(b[0].size == b[1].size == b[2].size > 0 for b in blocks)
+
+    @pytest.mark.parametrize("workers, most_held", [(1, 1), (2, 3)])
+    def test_clicks_are_folded_as_chunks_are_fated(self, workers, most_held):
+        # one worker folds, and drops, each chunk's clicks before the next
+        # chunk is fated, so only the previous chunk's clicks are held
+        # while one is fated; a pool runs at most `workers` fates ahead of
+        # the fold, so fated chunks wait in it but never pile up
+        alive = []
+        held = []
+        fate = photons._fate_chunk
+
+        def tracked(*args):
+            held.append(sum(ref() is not None for ref in alive))
+            out = fate(*args)
+            alive.append(weakref.ref(out[1]))
+            return out
+
+        src = SourceParams(pair_probability=0.1, statistics="thermal")
+        with mock.patch.object(photons, "_CHUNK", 4096), \
+                mock.patch.object(photons, "_FOLD_CLICKS", 64), \
+                mock.patch.object(photons, "_fate_chunk", tracked):
+            hist = simulate_run(src, paper_memory(), None, 200_000, seed=3,
+                                workers=workers)
+        assert len(held) == 49 and hist.total() > 0
+        assert max(held) <= most_held
 
 # ---------------------------------------------------------------------------
 # storage-time sweep
