@@ -57,8 +57,9 @@ class CombSpec:
     bandwidth: flat spectral envelope width, Hz
     optical_depth: peak absorption depth of the teeth
     background_depth: residual absorption between teeth
-    center_offset: rigid shift of the whole comb, Hz (0 for the H comb,
-        the relative detuning for the V comb)
+    center_offset: rigid shift of the whole comb, Hz (-detuning/2 for
+        the H comb of a memory; its V comb is the same comb shifted by
+        the detuning)
     """
 
     periodicity_delta: float
@@ -83,14 +84,6 @@ class CombSpec:
                 "need optical_depth > background_depth >= 0, got "
                 f"{self.optical_depth} and {self.background_depth}"
             )
-
-    def tooth_count(self) -> int:
-        return 2 * int(self.bandwidth / 2.0 // self.periodicity_delta) + 1
-
-    def finesse(self) -> float:
-        if self.tooth_fwhm == 0.0:
-            return math.inf
-        return self.periodicity_delta / self.tooth_fwhm
 
 
 @dataclass(frozen=True, eq=False)

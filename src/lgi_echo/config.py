@@ -70,9 +70,8 @@ class PhysicsConfig:
         if self.n_atoms < 2:
             raise ConfigurationError("physics.n_atoms must be >= 2")
         # constructing the derived objects runs their own validation
-        self.excitation()
         self.channel()
-        self.comb_pair()
+        self.memory()
 
     def excitation(self) -> ExcitationState:
         return ExcitationState(detuning=self.detuning, phase0=self.phase0)
@@ -83,29 +82,26 @@ class PhysicsConfig:
         except Exception as exc:
             raise ConfigurationError(f"physics.channel_kind/rate: {exc}") from exc
 
-    def comb_pair(self):
-        """H and V combs offset by +-detuning/2 around the carrier."""
-        def comb(offset):
+    def comb(self) -> CombSpec:
+        """The H comb, detuning/2 below the carrier; the V comb is the
+        same comb detuning/2 above it."""
+        try:
             return CombSpec(
                 periodicity_delta=self.grating_delta,
                 tooth_fwhm=self.tooth_fwhm,
                 bandwidth=self.bandwidth,
                 optical_depth=self.optical_depth,
                 background_depth=self.background_depth,
-                center_offset=offset,
+                center_offset=-self.detuning / 2.0,
             )
-
-        try:
-            return comb(-self.detuning / 2.0), comb(self.detuning / 2.0)
         except Exception as exc:
             raise ConfigurationError(f"physics comb parameters: {exc}") from exc
 
     def memory(self) -> MemoryConfig:
-        comb_h, comb_v = self.comb_pair()
+        comb = self.comb()
         try:
             return MemoryConfig(
-                comb_h=comb_h,
-                comb_v=comb_v,
+                comb=comb,
                 excitation=self.excitation(),
                 storage_time=self.storage_time,
                 photon_fwhm=self.photon_fwhm,
@@ -113,7 +109,8 @@ class PhysicsConfig:
                 retrieval_prefactor=self.retrieval_prefactor,
             )
         except Exception as exc:
-            raise ConfigurationError(f"physics memory parameters: {exc}") from exc
+            # the memory and excitation fields it names are physics keys
+            raise ConfigurationError(f"physics.{exc}") from exc
 
 
 @dataclass(frozen=True)

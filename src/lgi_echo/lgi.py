@@ -15,7 +15,6 @@ which every macrorealistic theory bounds below by -1 while quantum
 mechanics reaches -1.5.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -120,23 +119,6 @@ class LgiReport:
             viol_minus = viol_plus = None
         return cls(t, k_t, k_2t, k_minus, k_plus, sigma, sigma,
                    viol_minus, viol_plus, sigma_boundary_adjusted)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_ns": self.t * 1e9,
-            "k_t": self.k_t,
-            "k_2t": self.k_2t,
-            "k_minus": self.k_minus,
-            "k_plus": self.k_plus,
-            "sigma_minus": self.sigma_minus,
-            "sigma_plus": self.sigma_plus,
-            "violation_sigma_minus": self.violation_sigma_minus,
-            "violation_sigma_plus": self.violation_sigma_plus,
-            "sigma_boundary_adjusted": self.sigma_boundary_adjusted,
-        }
 
     def to_csv_row(self) -> str:
         viol_m = self.violation_sigma_minus

@@ -1,10 +1,10 @@
 """Heralded-photon source, memory round trip and coincidence analysis.
 
 Simulates the full counting experiment: a pulsed pair source heralds
-single photons, the signal photon is stored in the comb pair and
-retrieved at an echo order, a polarization analyzer projects it, and
-detectors with dark counts and broadband readout background produce
-timestamped clicks.  Coincidence histograms fold the clicks against
+single photons, the signal photon is stored in the polarization-
+dependent comb and retrieved at an echo order, a polarization analyzer
+projects it, and detectors with dark counts and broadband readout
+background produce timestamped clicks.  Coincidence histograms fold the clicks against
 the heralds over neighbouring trial periods; the cross-correlation
 g2 compares the zero-lag window with satellite windows one or more
 periods away.
@@ -76,8 +76,6 @@ class SourceParams:
     dark_rate: float = 0.0
     background_rate: float = 0.0
     trial_period: float = 400e-9
-    trials_per_cycle: int = 25000
-    cycle_rate: float = 40.0
     statistics: str = "bernoulli"
     extinction_ratio: float = 1000.0
 
@@ -105,10 +103,6 @@ class SourceParams:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.trial_period <= 0.0:
             raise ConfigurationError("trial_period must be positive")
-        if self.trials_per_cycle < 1:
-            raise ConfigurationError("trials_per_cycle must be >= 1")
-        if self.cycle_rate <= 0.0:
-            raise ConfigurationError("cycle_rate must be positive")
         if self.statistics not in ("bernoulli", "thermal"):
             raise ConfigurationError(
                 f"statistics must be 'bernoulli' or 'thermal', got {self.statistics!r}"
@@ -119,46 +113,28 @@ class SourceParams:
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Comb pair plus the delocalized-excitation parameters.
+    """Polarization-dependent comb plus the delocalized-excitation
+    parameters.
 
-    Both combs must share the grating period; their relative detuning
-    is carried by the excitation.  efficiency_override (one value per
-    echo order) and transmission_override bypass the comb physics for
-    idealized runs.  decay_time adds an exp(-t/decay_time) factor to
-    the retrieval efficiency standing in for slow dephasing processes
-    the comb model does not resolve; 0 disables it.
+    comb is the comb pattern one polarization sees; the other sees the
+    same pattern shifted by excitation.detuning, and the phase between
+    the two is carried by the excitation.  The photon enters diagonally
+    polarized.  decay_time adds an exp(-t/decay_time) factor to the
+    retrieval efficiency standing in for slow dephasing processes the
+    comb model does not resolve; 0 disables it.
     """
 
-    comb_h: CombSpec
-    comb_v: CombSpec
+    comb: CombSpec
     excitation: ExcitationState
     storage_time: float
-    input_polarization: PolarState = _DIAGONAL
     photon_fwhm: float = 5e-9
     decay_time: float = 0.0
     retrieval_prefactor: float = 0.15
-    efficiency_override: Optional[Tuple[float, ...]] = None
-    transmission_override: Optional[float] = None
 
     def __post_init__(self):
-        a, b = self.comb_h, self.comb_v
-        if (a.periodicity_delta != b.periodicity_delta
-                or a.tooth_fwhm != b.tooth_fwhm
-                or a.bandwidth != b.bandwidth
-                or a.optical_depth != b.optical_depth
-                or a.background_depth != b.background_depth):
-            raise ConfigurationError(
-                "comb_h and comb_v must match in everything but center_offset"
-            )
-        offset = b.center_offset - a.center_offset
-        if offset != 0.0 and abs(offset - self.excitation.detuning) > 1e-6:
-            raise ConfigurationError(
-                f"comb offset {offset} Hz contradicts excitation detuning "
-                f"{self.excitation.detuning} Hz"
-            )
         if self.storage_time <= 0.0:
             raise ConfigurationError("storage_time must be positive")
-        delta = a.periodicity_delta
+        delta = self.comb.periodicity_delta
         order = round(self.storage_time * delta)
         if order < 1 or abs(self.storage_time - order / delta) > 0.05 / delta:
             raise ConfigurationError(
@@ -171,18 +147,10 @@ class MemoryConfig:
             raise ConfigurationError("decay_time must be >= 0")
         if not 0.0 < self.retrieval_prefactor <= 1.0:
             raise ConfigurationError("retrieval_prefactor must be in (0, 1]")
-        if self.efficiency_override is not None:
-            if len(self.efficiency_override) < 1 or any(
-                not 0.0 <= e <= 1.0 for e in self.efficiency_override
-            ):
-                raise ConfigurationError("efficiency overrides must lie in [0, 1]")
-        if self.transmission_override is not None:
-            if not 0.0 <= self.transmission_override <= 1.0:
-                raise ConfigurationError("transmission_override must lie in [0, 1]")
 
     @property
     def signal_order(self) -> int:
-        return round(self.storage_time * self.comb_h.periodicity_delta)
+        return round(self.storage_time * self.comb.periodicity_delta)
 
 
 def paper_source() -> SourceParams:
@@ -195,36 +163,30 @@ def paper_source() -> SourceParams:
         dark_rate=50.0,
         background_rate=5e3,
         trial_period=400e-9,
-        trials_per_cycle=25000,
-        cycle_rate=40.0,
     )
 
 
-def paper_memory(storage_time: float = 125e-9, delta: float = 5e6,
-                 phase0: float = 0.0,
-                 input_polarization: PolarState = _DIAGONAL) -> MemoryConfig:
-    """Comb pair at the published working point for a given echo time.
+def paper_memory(storage_time: float = 125e-9) -> MemoryConfig:
+    """Memory at the published working point for a given echo time.
 
     The grating period is programmed so the first echo order lands at
-    storage_time (finesse held fixed); the two combs are offset by
-    delta around the photon carrier.
+    storage_time (finesse held fixed).  The H comb sits 2.5 MHz below
+    the photon carrier and the V comb 2.5 MHz above; no phase plate.
     """
     if storage_time <= 0.0:
         raise ConfigurationError("storage_time must be positive")
-    grating = 1.0 / storage_time
-    comb = CombSpec(
-        periodicity_delta=grating,
-        tooth_fwhm=grating / 4.0,
-        bandwidth=100e6,
-        optical_depth=8.0,
-        background_depth=0.05,
-    )
+    grating, detuning = 1.0 / storage_time, 5e6
     return MemoryConfig(
-        comb_h=replace(comb, center_offset=-delta / 2.0),
-        comb_v=replace(comb, center_offset=+delta / 2.0),
-        excitation=ExcitationState(detuning=delta, phase0=phase0),
+        comb=CombSpec(
+            periodicity_delta=grating,
+            tooth_fwhm=grating / 4.0,
+            bandwidth=100e6,
+            optical_depth=8.0,
+            background_depth=0.05,
+            center_offset=-detuning / 2.0,
+        ),
+        excitation=ExcitationState(detuning=detuning),
         storage_time=storage_time,
-        input_polarization=input_polarization,
         decay_time=150e-9,
     )
 
@@ -238,15 +200,16 @@ class CoincidenceHistogram:
     """Click-herald delay histogram folded over trial periods.
 
     Bin b covers delays [b, b+1) * bin_width; delays span the signal
-    period plus noise_periods satellite periods.  category_counts
-    records how many histogram entries each click source contributed,
-    so their sum equals the histogram total exactly.
+    period plus noise_periods satellite periods.  The offset windows of
+    g2 are the signal window moved by whole periods, so signal_window
+    must be shorter than one period.  category_counts records how many
+    histogram entries each click source contributed, so their sum
+    equals the histogram total exactly.
     """
 
     bin_width: float
     counts: np.ndarray
     signal_window: Tuple[float, float]
-    noise_window: Tuple[float, float]
     period: float
     noise_periods: int
     n_heralds: int
@@ -263,17 +226,10 @@ class CoincidenceHistogram:
             raise InvariantViolation("bin_width and period must be positive")
         if self.noise_periods < 1:
             raise InvariantViolation("noise_periods must be >= 1")
-        for name in ("signal_window", "noise_window"):
-            lo, hi = getattr(self, name)
-            if not hi > lo:
-                raise InvariantViolation(f"{name} must have positive width")
-        s_lo, s_hi = self.signal_window
-        n_lo, n_hi = self.noise_window
-        if s_hi > n_lo and n_hi > s_lo:
-            raise InvariantViolation("signal and noise windows must be disjoint")
-        bins = self.bin_width
-        if round((n_hi - n_lo) / bins) != round((s_hi - s_lo) / bins):
-            raise InvariantViolation("signal and noise windows must span equally many bins")
+        lo, hi = self.signal_window
+        if not 0.0 < hi - lo < self.period:
+            raise InvariantViolation(
+                "signal_window must have positive width shorter than one period")
         if self.n_heralds < 0 or self.n_trials < 1:
             raise InvariantViolation("n_heralds must be >= 0 and n_trials >= 1")
         object.__setattr__(self, "counts", c)
@@ -281,29 +237,21 @@ class CoincidenceHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def _window_bins(self, window: Tuple[float, float]) -> Tuple[int, int]:
-        """Bin range [i0, i1) of a window, before clipping to the histogram.
-
-        The start snaps to the nearest bin edge and the width to a whole
-        number of bins, so windows of equal width cover equally many
-        bins wherever their edges fall.
-        """
-        i0 = int(round(window[0] / self.bin_width))
-        return i0, i0 + int(round((window[1] - window[0]) / self.bin_width))
-
     def g2_windows(self) -> Tuple[Tuple[int, int], ...]:
-        """Bin ranges of the signal window and of its offset windows.
+        """Bin ranges [i0, i1) of the signal window and of its offset
+        windows, before clipping to the histogram.
 
-        The signal window is snapped once; offset window m (m = 0 ..
-        noise_periods - 1) is that bin range moved by the noise window's
-        displacement plus m periods, each rounded to whole bins, so every
-        window covers the same number of bins.
+        The signal window's start snaps to the nearest bin edge and its
+        width to a whole number of bins; offset window m (m = 1 ..
+        noise_periods) is that bin range moved by m periods of
+        round(period / bin_width) bins, so every window covers the same
+        number of bins.
         """
-        i0, i1 = self._window_bins(self.signal_window)
-        first = int(round((self.noise_window[0] - self.signal_window[0]) / self.bin_width))
+        lo, hi = self.signal_window
+        i0 = int(round(lo / self.bin_width))
+        i1 = i0 + int(round((hi - lo) / self.bin_width))
         step = int(round(self.period / self.bin_width))
-        shifts = [first + m * step for m in range(self.noise_periods)]
-        return ((i0, i1),) + tuple((i0 + d, i1 + d) for d in shifts)
+        return tuple((i0 + m * step, i1 + m * step) for m in range(self.noise_periods + 1))
 
     def _bin_sum(self, i0: int, i1: int) -> Tuple[int, int]:
         """(counts, bins) of the part of [i0, i1) inside the histogram."""
@@ -311,11 +259,6 @@ class CoincidenceHistogram:
         if i1 <= i0:
             return 0, 0
         return int(self.counts[i0:i1].sum()), i1 - i0
-
-    def window_counts(self, window: Tuple[float, float]) -> int:
-        """Total counts in window; the start snaps to the nearest bin edge
-        and the width to a whole number of bins."""
-        return self._bin_sum(*self._window_bins(window))[0]
 
 
 @dataclass(frozen=True)
@@ -332,19 +275,6 @@ class G2Result:
             raise InvariantViolation("g2 and sigma must be >= 0")
         if self.n_peak < 0 or self.n_offset < 0:
             raise InvariantViolation("window counts must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "g2": self.g2,
-            "sigma": self.sigma,
-            "n_peak": self.n_peak,
-            "n_offset": self.n_offset,
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +296,18 @@ def _comb_transmission(spec: CombSpec) -> float:
 
 
 def _echo_orders(memory: MemoryConfig, period: float) -> Tuple[int, ...]:
-    delta = memory.comb_h.periodicity_delta
+    delta = memory.comb.periodicity_delta
     highest = min(3, int(math.floor(period * delta)))
     highest = max(highest, memory.signal_order)
     return tuple(range(1, highest + 1))
 
 
 def _echo_efficiencies(memory: MemoryConfig, orders) -> Tuple[float, ...]:
-    if memory.efficiency_override is not None:
-        if len(memory.efficiency_override) < len(orders):
-            raise ConfigurationError(
-                f"need {len(orders)} efficiency overrides, "
-                f"got {len(memory.efficiency_override)}"
-            )
-        return tuple(memory.efficiency_override[: len(orders)])
-    delta = memory.comb_h.periodicity_delta
+    delta = memory.comb.periodicity_delta
     effs = []
     for k in orders:
         t_k = k / delta
-        eff = echo_efficiency(memory.comb_h, t_k, prefactor=memory.retrieval_prefactor)
+        eff = echo_efficiency(memory.comb, t_k, prefactor=memory.retrieval_prefactor)
         if memory.decay_time > 0.0:
             eff *= math.exp(-t_k / memory.decay_time)
         effs.append(eff)
@@ -600,17 +523,14 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
         effs = ()
         centers = [0.0]
     else:
-        if memory.transmission_override is not None:
-            transmission = memory.transmission_override
-        else:
-            transmission = _comb_transmission(memory.comb_h)
+        transmission = _comb_transmission(memory.comb)
         orders = _echo_orders(memory, period)
         effs = _echo_efficiencies(memory, orders)
         if transmission + sum(effs) > 1.0 + 1e-9:
             raise ConfigurationError(
                 "transmitted plus retrieved probability exceeds 1"
             )
-        delta = memory.comb_h.periodicity_delta
+        delta = memory.comb.periodicity_delta
         centers = [0.0] + [k / delta for k in orders]
 
     if analyzer is None:
@@ -619,12 +539,12 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
         if memory is None:
             p_polar = [_with_extinction(1.0, source.extinction_ratio)]
         else:
-            probs = [born_probability(memory.input_polarization, analyzer)]
+            probs = [born_probability(_DIAGONAL, analyzer)]
             for k in orders:
                 retrieved = retrieve_polarization(
-                    memory.input_polarization,
+                    _DIAGONAL,
                     memory.excitation.detuning,
-                    k / memory.comb_h.periodicity_delta,
+                    k / memory.comb.periodicity_delta,
                     phase_plate=memory.excitation.phase0,
                 )
                 probs.append(born_probability(retrieved, analyzer))
@@ -640,7 +560,7 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
         sigmas = np.array([sigma_in])
     else:
         sigma_in = memory.photon_fwhm / _SIGMA_TO_FWHM
-        echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb_h.bandwidth
+        echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb.bandwidth
         sigma_echo = math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)
         sigmas = np.array([sigma_in] + [sigma_echo] * len(orders))
     return orders, np.cumsum(click_probs), np.array(centers), sigmas
@@ -750,20 +670,15 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     total = folded.sum(axis=0)
 
     if memory is None:
-        sig_center = 0.0
-        half = TRANSMITTED_WINDOW / 2.0
         signal_window = (0.0, TRANSMITTED_WINDOW)
     else:
-        sig_center = memory.storage_time
         half = RETRIEVED_WINDOW / 2.0
-        signal_window = (sig_center - half, sig_center + half)
-    noise_window = (signal_window[0] + period, signal_window[1] + period)
+        signal_window = (memory.storage_time - half, memory.storage_time + half)
 
     return CoincidenceHistogram(
         bin_width=bin_width,
         counts=total,
         signal_window=signal_window,
-        noise_window=noise_window,
         period=period,
         noise_periods=noise_periods,
         n_heralds=int(heralds.size),
@@ -834,19 +749,13 @@ def storage_histograms(source: SourceParams, memory: MemoryConfig,
         else:
             if t <= 0.0:
                 raise DomainError("storage times must be >= 0")
-            old = memory.comb_h.periodicity_delta
-            scale = (1.0 / t) / old
-            comb_h = replace(
-                memory.comb_h,
+            scale = (1.0 / t) / memory.comb.periodicity_delta
+            comb = replace(
+                memory.comb,
                 periodicity_delta=1.0 / t,
-                tooth_fwhm=memory.comb_h.tooth_fwhm * scale,
+                tooth_fwhm=memory.comb.tooth_fwhm * scale,
             )
-            comb_v = replace(
-                memory.comb_v,
-                periodicity_delta=1.0 / t,
-                tooth_fwhm=memory.comb_v.tooth_fwhm * scale,
-            )
-            mem_t = replace(memory, comb_h=comb_h, comb_v=comb_v, storage_time=t)
+            mem_t = replace(memory, comb=comb, storage_time=t)
         hists.append(simulate_run(
             source, mem_t, analyzer, duration_trials, seed,
             bin_width=bin_width, noise_periods=noise_periods,
@@ -854,13 +763,3 @@ def storage_histograms(source: SourceParams, memory: MemoryConfig,
         ))
     return tuple(hists)
 
-
-def g2_vs_storage(source: SourceParams, memory: MemoryConfig,
-                  storage_times: Sequence[float], seed: int,
-                  duration_trials: int, analyzer: Optional[PolarState] = None,
-                  bin_width: float = 2e-9, noise_periods: int = 8,
-                  workers: int = 1) -> Tuple[G2Result, ...]:
-    """One g2 estimate per storage time; see storage_histograms."""
-    hists = storage_histograms(source, memory, storage_times, seed, duration_trials,
-                               analyzer, bin_width, noise_periods, workers)
-    return tuple(g2_cross(h) for h in hists)

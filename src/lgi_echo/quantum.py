@@ -173,10 +173,6 @@ class DensityMatrix:
         rho._r = _checked_bloch(x, y, z)
         return rho
 
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix":
-        return cls.from_bloch(0.0, 0.0, 0.0)
-
     def __repr__(self) -> str:
         return "DensityMatrix.from_bloch({!r}, {!r}, {!r})".format(*self._r.tolist())
 

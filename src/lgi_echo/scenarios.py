@@ -315,8 +315,7 @@ def _run_g2_vs_storage(config: ScenarioConfig):
 
 def _run_echo_trace(config: ScenarioConfig):
     physics = config.physics
-    comb_h, _ = physics.comb_pair()
-    ensemble = sample_ensemble(comb_h, physics.n_atoms, config.statistics.seed)
+    ensemble = sample_ensemble(physics.comb(), physics.n_atoms, config.statistics.seed)
     period = 1.0 / physics.grating_delta
     trace = echo_trace(ensemble, t_max=2.5 * period, bin_width=2e-9)
     t1, i1 = trace_peak(trace, 0.5 * period, 1.5 * period)

@@ -8,7 +8,6 @@ counting-statistics estimators and hypothesis tests for both, plus the
 assembly of noisy LGI reports with propagated error bars.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -187,21 +186,6 @@ class InvarianceReport:
         if self.passed != (self.p_value >= self.alpha):
             raise InvariantViolation("passed must equal (p_value >= alpha)")
 
-    def to_dict(self) -> dict:
-        return {
-            "grid_ns": [[t * 1e9, tau * 1e9] for t, tau in self.grid],
-            "estimates": list(self.estimates),
-            "sigmas": list(self.sigmas),
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "passed": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def simulate_q_grid(ex: ExcitationState, families, ts,
                     counts_per_point: int, seed: int):
@@ -306,19 +290,6 @@ class MonotonicityReport:
             raise InvariantViolation("threshold must be >= 0")
         if self.passed != (self.max_increase <= self.threshold):
             raise InvariantViolation("passed must equal (max_increase <= threshold)")
-
-    def to_dict(self) -> dict:
-        return {
-            "times_ns": [t * 1e9 for t in self.times],
-            "distances": list(self.distances),
-            "max_increase": self.max_increase,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "sigmas": None if self.sigmas is None else list(self.sigmas),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def default_state_pair() -> Tuple[DensityMatrix, DensityMatrix]:

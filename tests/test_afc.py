@@ -63,8 +63,9 @@ class TestCombSpec:
             CombSpec(8 * MHZ, 2 * MHZ, 100 * MHZ, optical_depth=0.04, background_depth=0.05)
 
     def test_paper_comb_counts_13_teeth(self):
-        assert PAPER_COMB.tooth_count() == 13
-        assert PAPER_COMB.finesse() == pytest.approx(4.0)
+        # the 100 MHz envelope holds teeth at 0, +-8, ..., +-48 MHz
+        ens = sample_ensemble(PAPER_COMB, 5000, seed=1)
+        assert np.unique(ens.tooth_indices).tolist() == list(range(-6, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -185,17 +185,24 @@ class TestRun:
         ("lgi_envelope", "statistics", "probe_time", math.nan),
         ("g2_vs_storage", "source", "dark_rate", math.inf),
         ("g2_vs_storage", "source", "trial_period", math.inf),
+        # finite, but no memory holds them
+        ("g2_vs_storage", "physics", "retrieval_prefactor", 0.0),
+        ("g2_vs_storage", "physics", "decay_time", -1.0),
+        ("g2_vs_storage", "physics", "storage_time", 137e-9),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, scenario,
                                        section, key, value):
-        # json accepts NaN and Infinity; they must not reach a scenario
-        path = write_config(tmp_path, {section: {key: value}})
+        # json accepts NaN and Infinity; they must not reach a scenario,
+        # nor may memory values that only the scenario would build
+        path = write_config(tmp_path, {"scenario": scenario, section: {key: value}})
         out = tmp_path / "out"
-        assert main(["run", scenario, "--config", path,
-                     "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert f"{section}.{key} must be finite" in err
+        for argv in (["validate"], ["run", scenario, "--out", str(out)]):
+            assert main(argv + ["--config", path]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert f"{section}.{key}" in err
+            if not math.isfinite(value):
+                assert f"{section}.{key} must be finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("shots", [1, 2, 3])

@@ -94,6 +94,8 @@ class TestValidation:
         ("source", "pair_prob"),
         ("statistics", "seeds"),
         ("output", "dir"),
+        ("source", "trials_per_cycle"),
+        ("source", "cycle_rate"),
     ])
     def test_unknown_section_key_named_by_path(self, section, key):
         with pytest.raises(ConfigurationError,
@@ -164,13 +166,12 @@ class TestPhysicsConfig:
         phys = PhysicsConfig()
         assert isinstance(phys.memory(), MemoryConfig)
         assert isinstance(phys.channel(), Channel)
-        comb_h, comb_v = phys.comb_pair()
-        assert comb_h.center_offset == -2.5e6
-        assert comb_v.center_offset == 2.5e6
+        assert phys.comb().center_offset == -2.5e6
 
     def test_memory_detuning_matches_comb_offsets(self):
         mem = PhysicsConfig(detuning=2e6).memory()
-        assert mem.comb_v.center_offset - mem.comb_h.center_offset == 2e6
+        assert mem.excitation.detuning == 2e6
+        assert mem.comb.center_offset == -1e6
 
     @pytest.mark.parametrize("field,value", [
         ("detuning", 0.0),
@@ -315,7 +316,8 @@ class TestDigest:
                "statistics": st.sampled_from(["bernoulli", "thermal"]),
            }),
            physics=st.fixed_dictionaries({}, optional={
-               "storage_time": st.floats(1e-9, 1e-6),
+               # the echo orders of the default 8 MHz comb
+               "storage_time": st.integers(1, 8).map(lambda k: k / 8e6),
                "phase0": st.floats(-10.0, 10.0),
                "channel_rate": st.floats(0.0, 1e8),
            }))

@@ -1,6 +1,5 @@
 """Excitation dynamics, conditional probabilities and K functionals."""
 
-import json
 import math
 
 import numpy as np
@@ -257,9 +256,3 @@ class TestLgiReport:
         assert rep.violation_sigma_minus == pytest.approx(
             (-1 - rep.k_minus) / rep.sigma_minus
         )
-
-    def test_json_round_trip(self):
-        rep = LgiReport.from_correlations(62.5 * NS, -0.38, -0.70, 0.02, 0.03)
-        doc = json.loads(rep.to_json())
-        assert doc["t_ns"] == pytest.approx(62.5)
-        assert doc["k_plus"] == pytest.approx(rep.k_plus)

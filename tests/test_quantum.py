@@ -154,7 +154,7 @@ class TestDensityMatrix:
         assert np.allclose(PolarState.h().to_basis("DA").density().bloch(), [1, 0, 0])
 
     def test_purity(self):
-        assert DensityMatrix.maximally_mixed().purity() == pytest.approx(0.5)
+        assert DensityMatrix.from_bloch(0.0, 0.0, 0.0).purity() == pytest.approx(0.5)
         assert PolarState.v().density().purity() == pytest.approx(1.0)
 
 
@@ -241,7 +241,7 @@ class TestMatrixOracle:
 
 class TestChannels:
     def test_negative_duration_rejected(self):
-        rho = DensityMatrix.maximally_mixed()
+        rho = DensityMatrix.from_bloch(0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             apply_channel(Channel("dephasing", 1e6), rho, -1e-9)
 

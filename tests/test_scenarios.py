@@ -1,5 +1,6 @@
 """End-to-end scenario runs: artifacts, metrics, determinism, reports."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from lgi_echo import __version__
-from lgi_echo.config import parse_config
+from lgi_echo._rng import STREAM_LAYOUT
+from lgi_echo.config import SCENARIOS, parse_config
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.scenarios import (
     _ARTIFACTS,
@@ -337,6 +339,61 @@ class TestOutputs:
         with pytest.raises(OSError):
             run_scenario(parse_config(json.dumps(doc)))
         assert sorted(os.listdir(out)) == ["summary.json"]
+
+    def test_stream_layout_pins_the_paper_artifacts(self, tmp_path):
+        got = {}
+        for scenario in SCENARIOS:
+            rep = run(tmp_path, {"scenario": scenario, "defaults": "paper"},
+                      subdir=scenario)
+            for path in rep.outputs:
+                name = os.path.basename(path)
+                with open(path, "rb") as fh:
+                    blob = fh.read()
+                if name == "summary.json":
+                    summary = json.loads(blob)
+                    del summary["digest"]
+                    blob = json.dumps(summary, sort_keys=True).encode()
+                got[f"{scenario}/{name}"] = hashlib.sha256(blob).hexdigest()
+        assert got == _PINNED_ARTIFACTS[STREAM_LAYOUT]
+
+
+# sha256 of every artifact of the six default paper-preset runs at seed
+# 0, per STREAM_LAYOUT; summary.json is hashed as key-sorted compact JSON
+# without its digest field, which covers the whole configuration
+# document.  A change that moves an output byte at a fixed configuration
+# must bump STREAM_LAYOUT and add the new values here.  The CSV
+# provenance lines carry the package version, so a version bump moves
+# the CSV pins too.
+_PINNED_ARTIFACTS = {
+    6: {
+        "echo_trace/summary.json":
+            "578dac3f84e5da16f56e6675f40a7a0eafff98bc4b206c62f472a4144ebca606",
+        "echo_trace/trace.csv":
+            "5bda5ec0474644648509ee4872943e7c71211201496991aa5d8b908dc423027a",
+        "g2_vs_storage/g2.csv":
+            "d4eeb5b960bc56dd9053f59ca5863aad86a06452686a006ddde3af707f562acc",
+        "g2_vs_storage/summary.json":
+            "b74d43eb01c8d43e38b759e8d920a21a32455939a80e2deca81af3cf12763cd8",
+        "lgi_envelope/envelope.csv":
+            "e1c167d1288ae4aa9db7ac0e717a525fdfce1326a37e708d22e7453723ea51e1",
+        "lgi_envelope/summary.json":
+            "427b77cfe4690941a8562a33678b3d1731ef8933d0a2d957c792a9f3111c8e31",
+        "markovianity/distance.csv":
+            "71cf26c0560cea6d223d8ecd3f15ef5c91fc4b120b27010308e781aca03b9238",
+        "markovianity/summary.json":
+            "d6873f74aa7085d1b96875c5ea32e791edbea4f7f558948b2a47de9ac50f7de5",
+        "stationarity_grid/grid.csv":
+            "d17a59e077dfd2eacebea3547a0ba30789c3fa8e20899e4900c578ea3396a675",
+        "stationarity_grid/summary.json":
+            "8d9b2476083c3932896c99f4a631213791cfd4b0db2afa5086410544bba14b12",
+        "tomography_demo/counts.csv":
+            "43f357533e6c3be3c2eedbc4b4e591e27e9949817ad9a3a67709e9109ccdbb51",
+        "tomography_demo/reconstruction.json":
+            "6fd2e6c8ecb67f0578e8879797473306d6bc0e4955171146019e9041a512b25f",
+        "tomography_demo/summary.json":
+            "61aad8d16c07eb9d6c706c0ed2a4c90824bd77980f44c76d0ea9bf3ed1d4eece",
+    },
+}
 
 
 class TestAtomicWrite:

@@ -1,6 +1,5 @@
 """Counting estimators, invariance chi-square and Markovianity checks."""
 
-import json
 import math
 
 import numpy as np
@@ -249,6 +248,7 @@ class TestInvarianceTest:
         rep = invariance_test(_taus(DEFAULT_FAMILIES), PROBE_TIMES, nt, nc)
         assert rep.passed
         assert rep.dof == 4 * (len(PROBE_TIMES) - 1)
+        assert len(rep.grid) == 40
 
     def test_ten_sigma_shift_fails(self):
         nt, nc = simulate_q_grid(EX5, INTERIOR_FAMILIES, PROBE_TIMES, 400, seed=5)
@@ -312,14 +312,6 @@ class TestInvarianceTest:
                 alpha=0.05,
                 passed=False,
             )
-
-    def test_exports(self):
-        nt, nc = simulate_q_grid(EX5, DEFAULT_FAMILIES, PROBE_TIMES, 500, seed=11)
-        rep = invariance_test(_taus(DEFAULT_FAMILIES), PROBE_TIMES, nt, nc)
-        doc = json.loads(rep.to_json())
-        assert doc["dof"] == rep.dof
-        assert doc["passed"] is True
-        assert len(doc["grid_ns"]) == 40
 
 
 class TestChi2Survival:
@@ -439,17 +431,8 @@ class TestMarkovianityTomographic:
         b = markovianity_test(*pair, Channel("dephasing", 2e6), MARKOV_TIMES, **kwargs)
         assert a.distances == b.distances
         assert a.sigmas == b.sigmas
-
-    def test_json_export(self):
-        pair = default_state_pair()
-        rep = markovianity_test(
-            *pair, Channel("dephasing", 2e6), MARKOV_TIMES,
-            use_tomography=True, shots=10**4, seed=8,
-        )
-        doc = json.loads(rep.to_json())
-        assert doc["passed"] is True
-        assert len(doc["sigmas"]) == len(MARKOV_TIMES)
-        assert doc["times_ns"][1] == pytest.approx(50.0)
+        assert a.passed
+        assert len(a.sigmas) == len(MARKOV_TIMES)
 
     @pytest.mark.parametrize("n_bootstrap", [0, 1])
     def test_fewer_than_two_replicates_rejected(self, n_bootstrap):

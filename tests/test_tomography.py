@@ -50,7 +50,7 @@ class TestSimulateTomography:
 
     def test_maximally_mixed_within_3_sigma(self):
         shots = 10**6
-        data = simulate_tomography(DensityMatrix.maximally_mixed(), shots, seed=2)
+        data = simulate_tomography(DensityMatrix.from_bloch(0.0, 0.0, 0.0), shots, seed=2)
         sigma = np.sqrt(shots * 0.25)
         assert np.all(np.abs(data.counts - shots / 2) < 3 * sigma)
 
@@ -83,8 +83,8 @@ class TestLinearInversion:
         assert trace_distance(rho, PolarState.h().density()) < 1e-12
 
     def test_exact_maximally_mixed(self):
-        rho = linear_inversion(exact_tomography(DensityMatrix.maximally_mixed()))
-        assert trace_distance(rho, DensityMatrix.maximally_mixed()) < 1e-12
+        rho = linear_inversion(exact_tomography(DensityMatrix.from_bloch(0.0, 0.0, 0.0)))
+        assert trace_distance(rho, DensityMatrix.from_bloch(0.0, 0.0, 0.0)) < 1e-12
 
     def test_exact_random_pure_states(self):
         rng = np.random.default_rng(21)
