@@ -38,8 +38,10 @@ STREAM_SCENARIO = 8
 # last digits of their reconstructed states, distances and sigmas; layout 5
 # (same draws) has a closed-form MLE, series p-values and quadrature echo efficiencies;
 # layout 6 (same draws) sums the echo trace by phasor recurrence, which
-# moves the last digits of the echo_trace metrics.
-STREAM_LAYOUT = 6
+# moves the last digits of the echo_trace metrics; layout 7 (same draws)
+# holds every state as a Bloch vector in the H/V frame, which moves the
+# last digits of the tomography_demo distance to the stored state.
+STREAM_LAYOUT = 7
 
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

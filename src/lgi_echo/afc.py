@@ -1,13 +1,12 @@
 """Comb-structured atomic ensemble: spectrum sampling, Monte-Carlo
-dipole-sum echo traces, the closed-form echo efficiency, and
-polarization retrieval from the dual comb.
+dipole-sum echo traces and the closed-form echo efficiency.
 
 A memory prepared with absorption teeth at spacing ``periodicity_delta``
 re-emits an absorbed photon as a collective echo at multiples of
 1/periodicity_delta.  Two such combs, one per polarization and offset by
 a relative detuning, imprint a linearly growing phase between the H and
-V components of a stored photon; that phase is what the rest of the
-package measures.
+V components of a stored photon; that phase is the excitation's beat,
+``lgi.state_at``, which the rest of the package measures.
 
 Frequencies are Hz and times are seconds everywhere in this module.
 """
@@ -21,7 +20,6 @@ from numpy.polynomial.legendre import leggauss
 
 from ._rng import STREAM_ENSEMBLE, stream
 from .errors import ConfigurationError, DomainError, InvariantViolation
-from .quantum import PolarState
 
 # FWHM = 2 sqrt(2 ln 2) sigma for a Gaussian line
 _SIGMA_TO_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -322,23 +320,4 @@ def echo_efficiency(spec: CombSpec, storage_time: float,
     bg_fraction = spec.background_depth / (spec.optical_depth + spec.background_depth)
     amplitude = (1.0 - bg_fraction) * tooth * teeth + bg_fraction * math.sin(x) / x
     return prefactor * min(max(amplitude * amplitude, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# polarization retrieval
-# ---------------------------------------------------------------------------
-
-def retrieve_polarization(state: PolarState, delta: float, storage_time: float,
-                          phase_plate: float = 0.0) -> PolarState:
-    """Phase evolution imprinted by the detuned comb pair.
-
-    The V comb is offset by ``delta`` relative to the H comb, so after
-    ``storage_time`` the V amplitude has advanced by
-    2*pi*delta*storage_time (plus any phase-plate offset).
-    """
-    if storage_time < 0.0 or not math.isfinite(storage_time):
-        raise DomainError(f"storage_time must be >= 0, got {storage_time}")
-    s = state.to_basis("HV")
-    phase = 2.0 * math.pi * delta * storage_time + phase_plate
-    return PolarState(s.amp0, s.amp1 * np.exp(1j * phase), "HV")
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .quantum import PolarState
+from .quantum import DensityMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,12 +141,18 @@ class LgiReport:
 # dynamics
 # ---------------------------------------------------------------------------
 
-def state_at(ex: ExcitationState, t: float) -> PolarState:
-    """Eq.-of-motion state cos(phi/2)|D> - i sin(phi/2)|A> at time t."""
+def state_at(ex: ExcitationState, t: float) -> DensityMatrix:
+    """Eq.-of-motion state cos(phi/2)|D> - i sin(phi/2)|A> at time t.
+
+    In the H/V frame, where |D> is +x and |A> is -x, this is the pure
+    state of Bloch vector (cos phi, sin phi, 0): the V amplitude runs
+    ahead of the H amplitude by phi, the polarization the two memories
+    re-emit after storing the excitation for t.
+    """
     if t < 0.0 or not math.isfinite(t):
         raise DomainError(f"t must be >= 0, got {t}")
     phi = TWO_PI * ex.detuning * t + ex.phase0
-    return PolarState(math.cos(phi / 2.0), -1j * math.sin(phi / 2.0), "DA")
+    return DensityMatrix.from_bloch(math.cos(phi), math.sin(phi), 0.0)
 
 
 def conditional_probability(ex: ExcitationState, i: str, j: str,

@@ -32,11 +32,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .afc import (_ECHO_FWHM_FACTOR, _SIGMA_TO_FWHM, CombSpec, echo_efficiency,
-                  retrieve_polarization)
+from .afc import _ECHO_FWHM_FACTOR, _SIGMA_TO_FWHM, CombSpec, echo_efficiency
 from .errors import ConfigurationError, DomainError, InvariantViolation, UndefinedEstimateError
-from .lgi import ExcitationState
-from .quantum import PolarState, born_probability
+from .lgi import ExcitationState, state_at
+from .quantum import DensityMatrix, born_probability
 from ._rng import stream, STREAM_FATES, STREAM_NOISE, STREAM_PIPELINE
 
 # Trials per generation chunk.  Fixed: chunk boundaries define the
@@ -58,7 +57,8 @@ _FOLD_CLICKS = 1 << 17
 TRANSMITTED_WINDOW = 2e-9
 RETRIEVED_WINDOW = 10e-9
 
-_DIAGONAL = PolarState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), "HV")
+# the (H+V)/sqrt(2) input polarization of a signal photon
+_DIAGONAL = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +496,33 @@ def _fold_heralds(parts, heralds, n_cats: int, period: float, bin_width: float,
     into parts cannot change it.  Returns (n_cats, n_bins) int64 counts.
     """
     out = np.zeros(n_cats * n_bins, dtype=np.int64)
-    for trials, times, cats in _blocks(parts, _FOLD_CLICKS):
-        lo = np.searchsorted(heralds, trials - max_lag, side="left")
-        n = np.searchsorted(heralds, trials, side="right") - lo
-        click = np.repeat(np.arange(trials.size), n)
-        # herald of each pair: its click's first herald plus its rank
-        rank = np.arange(click.size) - np.repeat(np.cumsum(n) - n, n)
-        m = trials[click] - heralds[lo[click] + rank]
-        delay = times[click] + m * period
-        idx = np.floor(delay / bin_width).astype(np.int64)
-        ok = (idx >= 0) & (idx < n_bins)
-        out += np.bincount(cats[click[ok]] * n_bins + idx[ok], minlength=out.size)
+    for block in _blocks(parts, _FOLD_CLICKS):
+        out += _fold_block(*block, heralds, period, bin_width, n_bins, max_lag,
+                           out.size)
     return out.reshape(n_cats, n_bins)
 
 
+def _fold_block(trials, times, cats, heralds, period: float, bin_width: float,
+                n_bins: int, max_lag: int, size: int):
+    """Flat (category, bin) counts of one block's click-herald pairs.
+
+    A function of its own so that the pair-sized temporaries are freed
+    before the fold pulls, and so fates, the next chunk.
+    """
+    lo = np.searchsorted(heralds, trials - max_lag, side="left")
+    n = np.searchsorted(heralds, trials, side="right") - lo
+    click = np.repeat(np.arange(trials.size), n)
+    # herald of each pair: its click's first herald plus its rank
+    rank = np.arange(click.size) - np.repeat(np.cumsum(n) - n, n)
+    m = trials[click] - heralds[lo[click] + rank]
+    delay = times[click] + m * period
+    idx = np.floor(delay / bin_width).astype(np.int64)
+    ok = (idx >= 0) & (idx < n_bins)
+    return np.bincount(cats[click[ok]] * n_bins + idx[ok], minlength=size)
+
+
 def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
-                analyzer: Optional[PolarState]):
+                analyzer: Optional[DensityMatrix]):
     """Echo orders and, per click path (transmitted, then each order),
     the cumulative click probability, mean delay and delay spread of a
     signal photon."""
@@ -539,15 +550,10 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
         if memory is None:
             p_polar = [_with_extinction(1.0, source.extinction_ratio)]
         else:
-            probs = [born_probability(_DIAGONAL, analyzer)]
-            for k in orders:
-                retrieved = retrieve_polarization(
-                    _DIAGONAL,
-                    memory.excitation.detuning,
-                    k / memory.comb.periodicity_delta,
-                    phase_plate=memory.excitation.phase0,
-                )
-                probs.append(born_probability(retrieved, analyzer))
+            # echo k re-emits the excitation stored for k/delta
+            probs = [born_probability(_DIAGONAL, analyzer)] + [
+                born_probability(state_at(memory.excitation, k / delta), analyzer)
+                for k in orders]
             p_polar = [_with_extinction(p, source.extinction_ratio) for p in probs]
 
     path_probs = [transmission] + list(effs)
@@ -605,7 +611,7 @@ def _noise_clicks(rng: np.random.Generator, source: SourceParams, starts: np.nda
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
-                 analyzer: Optional[PolarState], duration_trials: int,
+                 analyzer: Optional[DensityMatrix], duration_trials: int,
                  seed: int, bin_width: float = 2e-9, noise_periods: int = 8,
                  workers: int = 1, run_index: int = 0) -> CoincidenceHistogram:
     """End-to-end counting simulation of one configuration.
@@ -731,7 +737,7 @@ def heralded_autocorr_bound(g2_si: float) -> float:
 
 def storage_histograms(source: SourceParams, memory: MemoryConfig,
                        storage_times: Sequence[float], seed: int,
-                       duration_trials: int, analyzer: Optional[PolarState] = None,
+                       duration_trials: int, analyzer: Optional[DensityMatrix] = None,
                        bin_width: float = 2e-9, noise_periods: int = 8,
                        workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
     """One coincidence histogram per storage time, reprogramming the comb.

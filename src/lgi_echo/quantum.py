@@ -1,20 +1,15 @@
-"""Two-level polarization states, density matrices and simple channels.
+"""Polarization qubits: density matrices, the Born rule and simple channels.
 
 Every state here is a qubit, so a density matrix is held as its Bloch
 vector and each operation on it is a closed form in that vector.
 
 Conventions
 -----------
-Two bases are used throughout the package:
-
-* ``HV``: horizontal / vertical photon polarization.  On the Bloch
-  sphere H is +z, (H+V)/sqrt(2) is +x and (H+iV)/sqrt(2) is +y.
-* ``DA``: the delocalized-excitation basis of the two-memory system,
-  |D> = (|H> + |V>)/sqrt(2) stored symmetrically, |A> antisymmetrically.
-  In its own Bloch sphere |D> is +z and |H> maps to +x.
-
-The two bases are related by the (self-inverse) Hadamard rotation, so
-``to_basis`` round-trips exactly up to floating point.
+Every state, pure or mixed, lives in one frame, the H/V frame of photon
+polarization: H is +z, V is -z, (H+V)/sqrt(2) is +x and (H+iV)/sqrt(2)
+is +y.  The two memories re-emit the delocalized excitation as such a
+polarization, so its symmetric state |D> = (|H> + |V>)/sqrt(2) is +x
+and its antisymmetric state |A> = (|H> - |V>)/sqrt(2) is -x.
 """
 
 import math
@@ -24,110 +19,9 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 
-BASES = ("HV", "DA")
-
-_NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# pure states
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolarState:
-    """Normalized two-component pure state.
-
-    amp0 and amp1 are the amplitudes on the first and second basis
-    vector of ``basis`` (H/V or D/A).  Norm must be 1 within 1e-12.
-    """
-
-    amp0: complex
-    amp1: complex
-    basis: str = "HV"
-
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise InvariantViolation(f"unknown basis {self.basis!r}, expected one of {BASES}")
-        object.__setattr__(self, "amp0", complex(self.amp0))
-        object.__setattr__(self, "amp1", complex(self.amp1))
-        norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise InvariantViolation(f"state norm {norm!r} deviates from 1 beyond 1e-12")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def h(cls):
-        return cls(1.0, 0.0, "HV")
-
-    @classmethod
-    def v(cls):
-        return cls(0.0, 1.0, "HV")
-
-    @classmethod
-    def d(cls):
-        return cls(1.0, 0.0, "DA")
-
-    @classmethod
-    def a(cls):
-        return cls(0.0, 1.0, "DA")
-
-    @classmethod
-    def normalized(cls, amp0, amp1, basis="HV"):
-        """Build a state from unnormalized amplitudes."""
-        norm = np.sqrt(abs(amp0) ** 2 + abs(amp1) ** 2)
-        if norm == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return cls(amp0 / norm, amp1 / norm, basis)
-
-    @classmethod
-    def hv_diagonal(cls):
-        """(|H> + |V>)/sqrt(2), the symmetric input state."""
-        return cls(_SQRT_HALF, _SQRT_HALF, "HV")
-
-    @classmethod
-    def hv_circular(cls):
-        """(|H> + i|V>)/sqrt(2)."""
-        return cls(_SQRT_HALF, 1j * _SQRT_HALF, "HV")
-
-    # -- operations ---------------------------------------------------------
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.amp0, self.amp1], dtype=np.complex128)
-
-    def to_basis(self, basis: str) -> "PolarState":
-        """Express the same physical state in another basis.
-
-        HV <-> DA is the Hadamard map: |D> = (|H>+|V>)/sqrt(2),
-        |A> = (|H>-|V>)/sqrt(2).
-        """
-        if basis not in BASES:
-            raise DomainError(f"unknown basis {basis!r}")
-        if basis == self.basis:
-            return self
-        a0 = (self.amp0 + self.amp1) * _SQRT_HALF
-        a1 = (self.amp0 - self.amp1) * _SQRT_HALF
-        return PolarState(a0, a1, basis)
-
-    def orthogonal(self) -> "PolarState":
-        """The unique (up to phase) state orthogonal to this one."""
-        return PolarState(-np.conj(self.amp1), np.conj(self.amp0), self.basis)
-
-    def overlap(self, other: "PolarState") -> complex:
-        """<self|other>, converting bases when they differ."""
-        o = other.to_basis(self.basis)
-        return complex(np.conj(self.amp0) * o.amp0 + np.conj(self.amp1) * o.amp1)
-
-    def density(self) -> "DensityMatrix":
-        """Rank-one projector onto this state, in this state's basis."""
-        cross = np.conj(self.amp0) * self.amp1
-        return DensityMatrix.from_bloch(2.0 * cross.real, 2.0 * cross.imag,
-                                        abs(self.amp0) ** 2 - abs(self.amp1) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +34,8 @@ class DensityMatrix:
     rho = (I + x sigma_x + y sigma_y + z sigma_z)/2: the eigenvalues are
     (1 -+ |r|)/2 and the purity is (1 + |r|^2)/2.  ``DensityMatrix(m)``
     takes a 2x2 matrix, hermitian and of unit trace within 1e-12.  Every
-    state has |r| <= 1 + 2e-10, that is eigenvalues >= -1e-10.
-
-    The state is basis-agnostic: it is interpreted in whatever basis
-    the caller used to construct it, and operations that mix a
-    DensityMatrix with a PolarState (born_probability) use the state's
-    raw amplitudes, so both must refer to the same basis.
+    state has |r| <= 1 + 2e-10, that is eigenvalues >= -1e-10.  The
+    components are in the H/V frame of the module docstring.
     """
 
     __slots__ = ("_r",)
@@ -166,9 +56,6 @@ class DensityMatrix:
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "DensityMatrix":
-        r = math.sqrt(x * x + y * y + z * z)
-        if r > 1.0 + 1e-9:
-            raise DomainError(f"Bloch vector length {r} exceeds 1")
         rho = object.__new__(cls)
         rho._r = _checked_bloch(x, y, z)
         return rho
@@ -211,22 +98,15 @@ def _checked_bloch(x, y, z) -> np.ndarray:
 # measurement and distance
 # ---------------------------------------------------------------------------
 
-def born_probability(state, projector: PolarState) -> float:
-    """Probability of projecting ``state`` onto ``projector``.
+def born_probability(rho: DensityMatrix, projector: DensityMatrix) -> float:
+    """Probability tr(rho P) that ``rho`` passes the analyzer that
+    projects onto the pure state ``projector``.
 
-    ``state`` is a PolarState (any basis; converted automatically) or a
-    DensityMatrix expressed in the projector's basis, for which the
-    probability is (1 + n.r)/2 with n the projector's Bloch vector.
-    Result is clamped to [0, 1] against floating-point underflow.
+    With n the projector's Bloch vector and r the state's it is
+    (1 + n.r)/2, clamped to [0, 1] against floating-point underflow.
     """
-    if isinstance(state, PolarState):
-        amp = projector.overlap(state)
-        p = abs(amp) ** 2
-    elif isinstance(state, DensityMatrix):
-        p = float(0.5 * (1.0 + projector.density()._r @ state._r))
-    else:
-        raise DomainError(f"cannot compute Born probability for {type(state).__name__}")
-    return float(min(max(p, 0.0), 1.0))
+    p = 0.5 * (1.0 + float(projector._r @ rho._r))
+    return min(max(p, 0.0), 1.0)
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:

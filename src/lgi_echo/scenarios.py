@@ -337,9 +337,7 @@ def _run_echo_trace(config: ScenarioConfig):
 def _run_tomography_demo(config: ScenarioConfig):
     stats = config.statistics
     physics = config.physics
-    stored = state_at(physics.excitation(), physics.storage_time)
-    # tomography reads the matrix in the H/V basis of its analyzers
-    rho_true = stored.to_basis("HV").density()
+    rho_true = state_at(physics.excitation(), physics.storage_time)
     if stats.shots_per_basis == 0:
         data = exact_tomography(rho_true)
     else:
@@ -352,7 +350,6 @@ def _run_tomography_demo(config: ScenarioConfig):
         for label, count in zip(BASIS_LABELS, data.counts)
     ]
     csv = _csv_text(config, "basis,shots,count", rows)
-    recon = json.dumps(json.loads(result.to_json()), sort_keys=True, indent=2) + "\n"
     metrics = [
         ("mode", "exact" if stats.shots_per_basis == 0 else "sampled"),
         ("trace_distance_to_truth", float(dist)),
@@ -361,7 +358,7 @@ def _run_tomography_demo(config: ScenarioConfig):
         ("converged", bool(result.converged)),
         ("iterations", int(result.iterations)),
     ]
-    return {"counts.csv": csv, "reconstruction.json": recon}, metrics
+    return {"counts.csv": csv, "reconstruction.json": result.to_json()}, metrics
 
 
 _RUNNERS = {

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from ._rng import stream, STREAM_BOOTSTRAP, STREAM_COUNTS
 from .lgi import ExcitationState, LgiReport, conditional_probability
-from .quantum import Channel, DensityMatrix, PolarState, apply_channel, trace_distance
+from .quantum import Channel, DensityMatrix, apply_channel, trace_distance
 from .tomography import (
     analyzer_probabilities,
     bloch_from_frequencies,
@@ -294,10 +294,7 @@ class MonotonicityReport:
 
 def default_state_pair() -> Tuple[DensityMatrix, DensityMatrix]:
     """The antipodal H+V / H-V pair, which starts at trace distance 1."""
-    inv = 1.0 / math.sqrt(2.0)
-    plus = PolarState(inv, inv, basis="HV")
-    minus = PolarState(inv, -inv, basis="HV")
-    return plus.density(), minus.density()
+    return DensityMatrix.from_bloch(1.0, 0.0, 0.0), DensityMatrix.from_bloch(-1.0, 0.0, 0.0)
 
 
 def monotonicity_check(times, distances, threshold: float = 1e-12,

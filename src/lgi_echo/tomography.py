@@ -111,6 +111,7 @@ class ReconstructionResult:
     converged: bool
 
     def to_json(self) -> str:
+        """Key-sorted JSON, indented by 2, with a final newline."""
         m = self.rho.elements
         return json.dumps(
             {
@@ -120,7 +121,8 @@ class ReconstructionResult:
                 "converged": self.converged,
             },
             sort_keys=True,
-        )
+            indent=2,
+        ) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,29 @@ forms to it.
 import numpy as np
 
 from lgi_echo._rng import STREAM_BOOTSTRAP, stream
-from lgi_echo.quantum import PolarState
+from lgi_echo.quantum import DensityMatrix
+
+_RT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def default_bases():
-    """The four analyzer states, in the measurement order of
-    tomography.BASIS_LABELS."""
+    """The amplitudes (on H, V) of the four analyzer states, in the
+    measurement order of tomography.BASIS_LABELS."""
     return (
-        PolarState.h(),
-        PolarState.v(),
-        PolarState.hv_circular(),
-        PolarState.hv_diagonal(),
+        np.array([1.0, 0.0], dtype=np.complex128),
+        np.array([0.0, 1.0], dtype=np.complex128),
+        np.array([_RT_HALF, 1j * _RT_HALF]),
+        np.array([_RT_HALF, _RT_HALF], dtype=np.complex128),
     )
+
+
+def pure_state(a0, a1):
+    """The pure state of unnormalized amplitudes a0 on H and a1 on V."""
+    norm = np.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+    a0, a1 = complex(a0 / norm), complex(a1 / norm)
+    cross = a0.conjugate() * a1
+    return DensityMatrix.from_bloch(2.0 * cross.real, 2.0 * cross.imag,
+                                    abs(a0) ** 2 - abs(a1) ** 2)
 
 
 def matrix(r):
@@ -52,8 +63,7 @@ def linear_inversion(freqs):
 def born_probabilities(m):
     """<v|m|v> for each analyzer state v, clamped to [0, 1]."""
     out = []
-    for b in default_bases():
-        v = b.amplitudes()
+    for v in default_bases():
         out.append(min(max(float(np.real(np.conj(v) @ m @ v)), 0.0), 1.0))
     return np.array(out)
 

@@ -14,11 +14,12 @@ import time
 import numpy as np
 import pytest
 
+from qubit_oracle import pure_state
 from lgi_echo.config import parse_config
 from lgi_echo.lgi import ExcitationState, conditional_probability, k_functionals, k_minimum
 from lgi_echo.photons import (SourceParams, g2_cross, paper_memory, paper_source, simulate_run,
                               storage_histograms)
-from lgi_echo.quantum import Channel, PolarState, trace_distance
+from lgi_echo.quantum import Channel, trace_distance
 from lgi_echo.scenarios import run_scenario
 from lgi_echo.stationarity import (
     CountPair,
@@ -187,8 +188,7 @@ def test_criterion_8_tomography_accuracy():
     failures = 0
     for k in range(500):
         v = rng.normal(size=4)
-        rho = PolarState.normalized(complex(v[0], v[1]),
-                                    complex(v[2], v[3])).density()
+        rho = pure_state(complex(v[0], v[1]), complex(v[2], v[3]))
         fit = mle_reconstruct(simulate_tomography(rho, 10**5, seed=k)).rho
         min_eig = min(min_eig, float(np.linalg.eigvalsh(fit.elements)[0]))
         failures += trace_distance(fit, rho) > 0.02
@@ -196,8 +196,7 @@ def test_criterion_8_tomography_accuracy():
     worst_li = 0.0
     for k in range(20):
         v = rng.normal(size=4)
-        rho = PolarState.normalized(complex(v[0], v[1]),
-                                    complex(v[2], v[3])).density()
+        rho = pure_state(complex(v[0], v[1]), complex(v[2], v[3]))
         data = exact_tomography(rho)
         worst_li = max(worst_li, trace_distance(
             mle_reconstruct(data).rho, linear_inversion(data)))

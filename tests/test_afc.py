@@ -1,4 +1,4 @@
-"""Comb sampling, echo emission, retrieval efficiency and polarization."""
+"""Comb sampling, echo emission and retrieval efficiency."""
 
 import math
 import warnings
@@ -18,13 +18,11 @@ from lgi_echo.afc import (
     EchoTrace,
     echo_efficiency,
     echo_trace,
-    retrieve_polarization,
     sample_ensemble,
     trace_fwhm,
     trace_peak,
 )
 from lgi_echo.errors import ConfigurationError, DomainError, InvariantViolation
-from lgi_echo.quantum import PolarState, born_probability
 
 MHZ = 1e6
 NS = 1e-9
@@ -287,55 +285,3 @@ class TestEchoEfficiency:
             echo_efficiency(PAPER_COMB, -1 * NS)
         with pytest.raises(DomainError):
             echo_efficiency(PAPER_COMB, 125 * NS, prefactor=0.0)
-
-
-# ---------------------------------------------------------------------------
-# polarization retrieval
-# ---------------------------------------------------------------------------
-
-class TestRetrievePolarization:
-    def test_zero_detuning_is_identity(self):
-        s = PolarState.hv_circular()
-        out = retrieve_polarization(s, 0.0, 125 * NS)
-        assert abs(out.amp0 - s.amp0) < 1e-15
-        assert abs(out.amp1 - s.amp1) < 1e-15
-
-    def test_half_cycle_flips_to_h_minus_v(self):
-        out = retrieve_polarization(PolarState.hv_diagonal(), 4 * MHZ, 125 * NS)
-        target = PolarState.normalized(1.0, -1.0)
-        assert born_probability(out, target) == pytest.approx(1.0, abs=1e-12)
-
-    def test_paper_detuning_overlap(self):
-        # 5 MHz, 125 ns: phase 1.25 pi, overlap with H-V is (1+cos(pi/4))/2
-        out = retrieve_polarization(PolarState.hv_diagonal(), 5 * MHZ, 125 * NS)
-        target = PolarState.normalized(1.0, -1.0)
-        expected = (1.0 + math.cos(math.pi / 4)) / 2.0
-        assert expected == pytest.approx(0.853553, abs=1e-6)
-        assert born_probability(out, target) == pytest.approx(expected, abs=1e-12)
-
-    def test_phase_plate_offsets_phase(self):
-        a = retrieve_polarization(PolarState.hv_diagonal(), 4 * MHZ, 125 * NS, phase_plate=np.pi)
-        b = PolarState.hv_diagonal()
-        assert born_probability(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_phase_linearity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            v = rng.normal(size=4)
-            s = PolarState.normalized(complex(v[0], v[1]), complex(v[2], v[3]))
-            t1, t2 = rng.uniform(0, 300 * NS, size=2)
-            combined = retrieve_polarization(s, 5 * MHZ, t1 + t2)
-            chained = retrieve_polarization(
-                retrieve_polarization(s, 5 * MHZ, t1), 5 * MHZ, t2
-            )
-            assert abs(combined.amp0 - chained.amp0) < 1e-12
-            assert abs(combined.amp1 - chained.amp1) < 1e-12
-
-    def test_norm_preserved(self):
-        out = retrieve_polarization(PolarState.hv_circular(), 5 * MHZ, 77 * NS, 0.3)
-        assert abs(abs(out.amp0) ** 2 + abs(out.amp1) ** 2 - 1.0) < 1e-12
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            retrieve_polarization(PolarState.h(), 5 * MHZ, -1 * NS)
-

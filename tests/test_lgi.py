@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.lgi import (
@@ -16,13 +17,17 @@ from lgi_echo.lgi import (
     state_at,
     violation_sigma,
 )
-from lgi_echo.quantum import PolarState, born_probability
+from lgi_echo.quantum import DensityMatrix, born_probability
 
 MHZ = 1e6
 NS = 1e-9
 
 EX5 = ExcitationState(detuning=5 * MHZ)
 EX2 = ExcitationState(detuning=2 * MHZ)
+
+# the analyzers of the delocalized modes: |D> is +x, |A> is -x
+D = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
+A = DensityMatrix.from_bloch(-1.0, 0.0, 0.0)
 
 
 def beat_unitary(delta, tau):
@@ -53,28 +58,43 @@ class TestExcitationState:
 class TestStateAt:
     def test_starts_in_d(self):
         s = state_at(EX5, 0.0)
-        assert born_probability(s, PolarState.d()) == pytest.approx(1.0, abs=1e-15)
+        assert born_probability(s, D) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_at_half_period(self):
         # phi = pi after 100 ns at 5 MHz
         s = state_at(EX5, 100 * NS)
-        assert born_probability(s, PolarState.a()) == pytest.approx(1.0, abs=1e-12)
+        assert born_probability(s, A) == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_superposition_at_quarter_period(self):
         s = state_at(EX5, 50 * NS)
-        assert born_probability(s, PolarState.d()) == pytest.approx(0.5, abs=1e-12)
-        assert born_probability(s, PolarState.a()) == pytest.approx(0.5, abs=1e-12)
+        assert born_probability(s, D) == pytest.approx(0.5, abs=1e-12)
+        assert born_probability(s, A) == pytest.approx(0.5, abs=1e-12)
 
     def test_norm_preserved_for_random_parameters(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):
             ex = ExcitationState(rng.uniform(-20 * MHZ, 20 * MHZ), rng.uniform(0, 2 * math.pi))
             s = state_at(ex, rng.uniform(0, 1e-6))
-            assert abs(abs(s.amp0) ** 2 + abs(s.amp1) ** 2 - 1.0) < 1e-12
+            assert abs(s.purity() - 1.0) < 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             state_at(EX5, -1 * NS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(detuning=st.floats(-20 * MHZ, 20 * MHZ),
+           phase0=st.floats(-4 * math.pi, 4 * math.pi),
+           t=st.floats(0.0, 1e-6))
+    def test_beat_phase_accumulates_from_the_preparation_phase(self, detuning, phase0, t):
+        # P(D) = cos^2(phi/2) with phi = 2 pi delta t + phi0; A takes the rest
+        s = state_at(ExcitationState(detuning, phase0), t)
+        p_d = born_probability(s, D)
+        assert p_d == pytest.approx(math.cos(math.pi * detuning * t + phase0 / 2) ** 2,
+                                    abs=1e-12)
+        assert born_probability(s, A) == pytest.approx(1.0 - p_d, abs=1e-15)
+        at_zero = born_probability(state_at(ExcitationState(detuning), t), D)
+        expected = conditional_probability(ExcitationState(detuning), "D", "D", 0.0, t)
+        assert at_zero == pytest.approx(expected, abs=1e-12)
 
 
 class TestConditionalProbability:

@@ -25,6 +25,7 @@ from lgi_echo.errors import (
 )
 from lgi_echo.photons import (
     _blocks,
+    _fate_table,
     _fold_heralds,
     _heralded_pairs,
     _occupied,
@@ -43,7 +44,8 @@ from lgi_echo.photons import (
     simulate_run,
     storage_histograms,
 )
-from lgi_echo.quantum import PolarState
+from lgi_echo.lgi import ExcitationState
+from lgi_echo.quantum import DensityMatrix
 
 NS = 1e-9
 PERIOD = 400e-9
@@ -324,11 +326,30 @@ class TestSimulateRun:
         # outshines the (strong but extinguished) transmitted peak.
         mem = paper_memory(storage_time=100 * NS)
         src = SourceParams(pair_probability=0.01)
-        anti = PolarState(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), "HV")
+        anti = DensityMatrix.from_bloch(-1.0, 0.0, 0.0)
         hist = simulate_run(src, mem, anti, 4_000_000, seed=13)
         cats = dict(hist.category_counts)
         assert cats["echo1"] > 10 * cats["transmitted"]
         assert cats["transmitted"] > 0
+
+    @pytest.mark.parametrize("phase0", [0.0, 0.7, math.pi, 5.0])
+    def test_fate_table_projects_each_echo_through_the_analyzer(self, phase0):
+        # echo k carries the beat phase 2 pi delta k/Delta + phase0 between
+        # V and H, so a D analyzer passes it with cos^2(pi delta k/Delta +
+        # phase0/2), mixed with the crossed-polarizer leakage; the
+        # transmitted photon stays diagonal
+        src = SourceParams(pair_probability=0.01)
+        mem = dataclasses.replace(paper_memory(125 * NS), decay_time=0.0,
+                                  excitation=ExcitationState(5e6, phase0))
+        orders, open_cum, _, _ = _fate_table(src, mem, None)
+        _, d_cum, _, _ = _fate_table(src, mem, DensityMatrix.from_bloch(1.0, 0.0, 0.0))
+        p_polar = np.diff(d_cum, prepend=0.0) / np.diff(open_cum, prepend=0.0)
+        eps = 1.0 / (1.0 + src.extinction_ratio)
+        passed = [1.0] + [math.cos(math.pi * 5e6 * k / mem.comb.periodicity_delta
+                                   + phase0 / 2.0) ** 2 for k in orders]
+        assert orders == (1, 2, 3)
+        assert p_polar == pytest.approx([(1.0 - eps) * p + eps * (1.0 - p) for p in passed],
+                                        abs=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
         {"duration_trials": 0},
@@ -550,6 +571,8 @@ _PINNED_RUN = {
     5: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
     # layout 6 changed the echo trace sum only
     6: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
+    # layout 7 changed the qubit type only
+    7: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
 }
 
 

@@ -1,4 +1,6 @@
-"""States, density matrices, Born rule, trace distance, channels."""
+"""Density matrices, Born rule, trace distance, channels."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,20 +11,23 @@ from lgi_echo.errors import DomainError, InvariantViolation
 from lgi_echo.quantum import (
     Channel,
     DensityMatrix,
-    PolarState,
     apply_channel,
     born_probability,
     trace_distance,
 )
 
-RT2 = np.sqrt(2.0)
+H = DensityMatrix.from_bloch(0.0, 0.0, 1.0)
+V = DensityMatrix.from_bloch(0.0, 0.0, -1.0)
+D = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
+
+
+def random_amplitudes(rng):
+    v = rng.normal(size=4)
+    return complex(v[0], v[1]), complex(v[2], v[3])
 
 
 def random_pure(rng):
-    v = rng.normal(size=4)
-    a = complex(v[0], v[1])
-    b = complex(v[2], v[3])
-    return PolarState.normalized(a, b)
+    return oracle.pure_state(*random_amplitudes(rng))
 
 
 def random_density(rng):
@@ -32,46 +37,8 @@ def random_density(rng):
     return DensityMatrix.from_bloch(*v)
 
 
-# ---------------------------------------------------------------------------
-# pure states
-# ---------------------------------------------------------------------------
-
-class TestPolarState:
-    def test_norm_enforced(self):
-        with pytest.raises(InvariantViolation):
-            PolarState(1.0, 1.0)
-
-    def test_bad_basis_rejected(self):
-        with pytest.raises(InvariantViolation):
-            PolarState(1.0, 0.0, "XY")
-
-    def test_basis_round_trip_is_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            s = random_pure(rng)
-            back = s.to_basis("DA").to_basis("HV")
-            assert abs(back.amp0 - s.amp0) < 1e-12
-            assert abs(back.amp1 - s.amp1) < 1e-12
-
-    def test_hadamard_relation(self):
-        # |D> expressed in HV is (H+V)/sqrt(2)
-        d_in_hv = PolarState.d().to_basis("HV")
-        assert abs(d_in_hv.amp0 - 1 / RT2) < 1e-15
-        assert abs(d_in_hv.amp1 - 1 / RT2) < 1e-15
-        # and |H> expressed in DA is (D+A)/sqrt(2)
-        h_in_da = PolarState.h().to_basis("DA")
-        assert abs(h_in_da.amp0 - 1 / RT2) < 1e-15
-        assert abs(h_in_da.amp1 - 1 / RT2) < 1e-15
-
-    def test_orthogonal_state(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            s = random_pure(rng)
-            assert abs(s.overlap(s.orthogonal())) < 1e-14
-
-    def test_normalized_rejects_zero(self):
-        with pytest.raises(DomainError):
-            PolarState.normalized(0.0, 0.0)
+def antipode(rho):
+    return DensityMatrix.from_bloch(*-rho.bloch())
 
 
 # ---------------------------------------------------------------------------
@@ -80,39 +47,47 @@ class TestPolarState:
 
 class TestBornProbability:
     def test_h_onto_d_is_half(self):
-        assert born_probability(PolarState.h(), PolarState.d()) == pytest.approx(0.5, abs=1e-15)
+        assert born_probability(H, D) == pytest.approx(0.5, abs=1e-15)
 
     def test_excitation_state_example(self):
-        # cos(phi/2)|D> - i sin(phi/2)|A> at phi = 2pi/3 projected on D
-        phi = 2 * np.pi / 3
-        s = PolarState(np.cos(phi / 2), -1j * np.sin(phi / 2), "DA")
-        assert born_probability(s, PolarState.d()) == pytest.approx(0.25, abs=1e-12)
+        # cos(phi/2)|D> - i sin(phi/2)|A> at phi = 2pi/3, written in H/V
+        # with |D> = (|H> + |V>)/sqrt(2) and |A> = (|H> - |V>)/sqrt(2)
+        c, s = math.cos(math.pi / 3), -1j * math.sin(math.pi / 3)
+        state = oracle.pure_state(c + s, c - s)
+        assert born_probability(state, D) == pytest.approx(0.25, abs=1e-12)
 
     def test_projector_completeness(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             s = random_pure(rng)
             proj = random_pure(rng)
-            total = born_probability(s, proj) + born_probability(s, proj.orthogonal())
+            total = born_probability(s, proj) + born_probability(s, antipode(proj))
             assert abs(total - 1.0) < 1e-12
 
     def test_density_matrix_agrees_with_pure(self):
+        # |<b|a>|^2 from the amplitudes
         rng = np.random.default_rng(31)
         for _ in range(100):
-            s = random_pure(rng)
-            proj = random_pure(rng)
-            p_state = born_probability(s, proj)
-            p_rho = born_probability(s.density(), proj)
-            assert abs(p_state - p_rho) < 1e-12
+            a = np.array(random_amplitudes(rng))
+            b = np.array(random_amplitudes(rng))
+            expected = abs(np.vdot(b, a)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
+            p = born_probability(oracle.pure_state(*a), oracle.pure_state(*b))
+            assert abs(p - expected) < 1e-12
 
     def test_cross_basis_projection(self):
-        # probabilities must not depend on the basis either party is written in
+        # probabilities must not depend on the frame both parties are
+        # written in: the Hadamard relabelling (x, y, z) -> (z, -y, x)
+        # takes H/V components to D/A ones
+        def hadamard(rho):
+            x, y, z = rho.bloch()
+            return DensityMatrix.from_bloch(z, -y, x)
+
         rng = np.random.default_rng(7)
         for _ in range(100):
-            s = random_pure(rng)
+            s = random_density(rng)
             proj = random_pure(rng)
             p1 = born_probability(s, proj)
-            p2 = born_probability(s.to_basis("DA"), proj.to_basis("DA"))
+            p2 = born_probability(hadamard(s), hadamard(proj))
             assert abs(p1 - p2) < 1e-12
 
 
@@ -137,6 +112,20 @@ class TestDensityMatrix:
         with pytest.raises(InvariantViolation):
             DensityMatrix(oracle.matrix((0.0, 0.0, 1.0 + 2.1e-10)))
 
+    @pytest.mark.parametrize("length, ok", [
+        (1.0 + 1.9e-10, True),
+        (1.0 + 2.1e-10, False),
+        (2.0, False),
+        (math.nan, False),
+    ])
+    def test_from_bloch_length_check(self, length, ok):
+        # one bound, the eigenvalue tolerance: |r| <= 1 + 2e-10
+        if ok:
+            assert DensityMatrix.from_bloch(0.0, length, 0.0).bloch()[1] == length
+        else:
+            with pytest.raises(InvariantViolation):
+                DensityMatrix.from_bloch(0.0, length, 0.0)
+
     def test_bloch_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -146,16 +135,16 @@ class TestDensityMatrix:
             assert np.max(np.abs(rho.elements - rho2.elements)) < 1e-12
 
     def test_bloch_conventions(self):
-        assert np.allclose(PolarState.h().density().bloch(), [0, 0, 1])
-        assert np.allclose(PolarState.hv_diagonal().density().bloch(), [1, 0, 0])
-        assert np.allclose(PolarState.hv_circular().density().bloch(), [0, 1, 0])
-        # in the DA basis the stored symmetric mode is +z and H is +x
-        assert np.allclose(PolarState.d().density().bloch(), [0, 0, 1])
-        assert np.allclose(PolarState.h().to_basis("DA").density().bloch(), [1, 0, 0])
+        assert np.allclose(oracle.pure_state(1.0, 0.0).bloch(), [0, 0, 1])
+        assert np.allclose(oracle.pure_state(0.0, 1.0).bloch(), [0, 0, -1])
+        assert np.allclose(oracle.pure_state(1.0, 1j).bloch(), [0, 1, 0])
+        # the symmetric mode |D> = H+V is +x, the antisymmetric |A> = H-V is -x
+        assert np.allclose(oracle.pure_state(1.0, 1.0).bloch(), [1, 0, 0])
+        assert np.allclose(oracle.pure_state(1.0, -1.0).bloch(), [-1, 0, 0])
 
     def test_purity(self):
         assert DensityMatrix.from_bloch(0.0, 0.0, 0.0).purity() == pytest.approx(0.5)
-        assert PolarState.v().density().purity() == pytest.approx(1.0)
+        assert V.purity() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +153,7 @@ class TestDensityMatrix:
 
 class TestTraceDistance:
     def test_orthogonal_pure_states_distance_one(self):
-        d = trace_distance(PolarState.h().density(), PolarState.v().density())
+        d = trace_distance(H, V)
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states_distance_zero(self):
@@ -227,9 +216,9 @@ class TestMatrixOracle:
     @given(r=BLOCH, amps=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
         lambda v: np.linalg.norm(v) > 1e-3))
     def test_born_probability_is_the_projector_trace(self, r, amps):
-        proj = PolarState.normalized(complex(amps[0], amps[1]),
-                                     complex(amps[2], amps[3]))
-        v = proj.amplitudes()
+        v = np.array([complex(amps[0], amps[1]), complex(amps[2], amps[3])])
+        proj = oracle.pure_state(*v)
+        v = v / np.linalg.norm(v)
         expected = np.real(np.conj(v) @ oracle.matrix(r) @ v)
         p = born_probability(DensityMatrix.from_bloch(*r), proj)
         assert abs(p - expected) <= 1e-12
@@ -257,8 +246,8 @@ class TestChannels:
         # H/V superposition pair: distance decays exactly as exp(-rate t)
         rate = 3.0e6
         ch = Channel("dephasing", rate)
-        plus = PolarState.hv_diagonal().density()
-        minus = PolarState.normalized(1.0, -1.0).density()
+        plus = oracle.pure_state(1.0, 1.0)
+        minus = oracle.pure_state(1.0, -1.0)
         for t in np.linspace(0.0, 500e-9, 11):
             d = trace_distance(apply_channel(ch, plus, t), apply_channel(ch, minus, t))
             assert d == pytest.approx(np.exp(-rate * t), abs=1e-12)

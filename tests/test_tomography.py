@@ -10,7 +10,7 @@ import qubit_oracle as oracle
 import scipy_oracle
 from lgi_echo.errors import InvariantViolation
 from lgi_echo.lgi import ExcitationState, state_at
-from lgi_echo.quantum import DensityMatrix, PolarState, born_probability, trace_distance
+from lgi_echo.quantum import DensityMatrix, born_probability, trace_distance
 from lgi_echo.tomography import (
     BASIS_LABELS,
     TomographyData,
@@ -24,10 +24,12 @@ from lgi_echo.tomography import (
 )
 
 
+H = DensityMatrix.from_bloch(0.0, 0.0, 1.0)
+
+
 def random_pure_rho(rng):
     v = rng.normal(size=4)
-    s = PolarState.normalized(complex(v[0], v[1]), complex(v[2], v[3]))
-    return s.density()
+    return oracle.pure_state(complex(v[0], v[1]), complex(v[2], v[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ class TestTomographyData:
 
 class TestSimulateTomography:
     def test_pure_h_state(self):
-        data = simulate_tomography(PolarState.h().density(), 1000, seed=1)
+        data = simulate_tomography(H, 1000, seed=1)
         assert data.counts[0] == 1000  # H basis
         assert data.counts[1] == 0  # V basis
 
@@ -58,10 +60,10 @@ class TestSimulateTomography:
         # phi = pi/2 state of the beat, mapped to the photon frame:
         # (|D> - i|A>)/sqrt(2) = ((1-i)|H> + (1+i)|V>)/2 has |<H+iV|psi>|^2 = 1
         ex = ExcitationState(detuning=5e6)
-        s = state_at(ex, 50e-9).to_basis("HV")
-        p_circ = born_probability(s, PolarState.hv_circular())
+        s = state_at(ex, 50e-9)
+        p_circ = born_probability(s, DensityMatrix.from_bloch(0.0, 1.0, 0.0))
         assert p_circ == pytest.approx(1.0, abs=1e-12)
-        data = simulate_tomography(s.density(), 10**4, seed=3)
+        data = simulate_tomography(s, 10**4, seed=3)
         assert data.counts[2] == 10**4
 
     def test_determinism(self):
@@ -79,8 +81,8 @@ class TestSimulateTomography:
 
 class TestLinearInversion:
     def test_exact_h_state(self):
-        rho = linear_inversion(exact_tomography(PolarState.h().density()))
-        assert trace_distance(rho, PolarState.h().density()) < 1e-12
+        rho = linear_inversion(exact_tomography(H))
+        assert trace_distance(rho, H) < 1e-12
 
     def test_exact_maximally_mixed(self):
         rho = linear_inversion(exact_tomography(DensityMatrix.from_bloch(0.0, 0.0, 0.0)))
@@ -185,7 +187,7 @@ class TestMleReconstruct:
             assert np.sqrt(10) / 2 < ratio < 2 * np.sqrt(10)
 
     def test_json_export(self):
-        res = mle_reconstruct(exact_tomography(PolarState.h().density()))
+        res = mle_reconstruct(exact_tomography(H))
         doc = json.loads(res.to_json())
         assert doc["converged"] is True
         assert doc["rho"][0][0][0] == pytest.approx(1.0, abs=1e-6)
@@ -284,12 +286,9 @@ def test_analyzer_probabilities_are_the_analyzer_projections():
 
 
 def test_default_bases_are_the_four_analyzers():
-    labels_states = dict(zip(BASIS_LABELS, oracle.default_bases()))
-    assert born_probability(PolarState.h(), labels_states["H"]) == 1.0
-    assert born_probability(PolarState.v(), labels_states["V"]) == 1.0
-    assert born_probability(
-        PolarState.hv_circular(), labels_states["H+iV"]
-    ) == pytest.approx(1.0)
-    assert born_probability(
-        PolarState.hv_diagonal(), labels_states["H+V"]
-    ) == pytest.approx(1.0)
+    axes = {"H": (0.0, 0.0, 1.0), "V": (0.0, 0.0, -1.0),
+            "H+iV": (0.0, 1.0, 0.0), "H+V": (1.0, 0.0, 0.0)}
+    for label, amplitudes in zip(BASIS_LABELS, oracle.default_bases()):
+        state = oracle.pure_state(*amplitudes)
+        analyzer = DensityMatrix.from_bloch(*axes[label])
+        assert born_probability(state, analyzer) == pytest.approx(1.0, abs=1e-15)
