@@ -4,8 +4,8 @@ All stochastic code in the package draws from counter-based Philox
 generators keyed by (seed, stream, index).  Streams separate unrelated
 consumers (ensemble sampling, photon pipeline, tomography shots, ...)
 so adding draws in one place never perturbs another.  The index slot is
-used for fixed-size work chunks: chunk boundaries are a property of the
-trial count alone, never of the worker count, which is what makes
+used for work chunks: chunk boundaries are a property of the
+configuration alone, never of the worker count, which is what makes
 multi-worker runs byte-identical to single-worker runs.
 """
 
@@ -40,8 +40,13 @@ STREAM_SCENARIO = 8
 # layout 6 (same draws) sums the echo trace by phasor recurrence, which
 # moves the last digits of the echo_trace metrics; layout 7 (same draws)
 # holds every state as a Bloch vector in the H/V frame, which moves the
-# last digits of the tomography_demo distance to the stored state.
-STREAM_LAYOUT = 7
+# last digits of the tomography_demo distance to the stored state;
+# layout 8 sizes the chunks by expected events (2^22 trials or a
+# power-of-two multiple), draws each chunk's false heralds and then its
+# dark and background clicks from its own STREAM_NOISE stream, always
+# fates the first noise_periods trials of a chunk, and no longer clips
+# click times to their own trial period.
+STREAM_LAYOUT = 8
 
 _MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

@@ -9,25 +9,24 @@ the heralds over neighbouring trial periods; the cross-correlation
 g2 compares the zero-lag window with satellite windows one or more
 periods away.
 
-Trials are generated in fixed-size chunks with per-chunk random
-streams, so any worker partition of the trial range produces the same
-clicks; false heralds and noise clicks come from one stream per run.
-The pipeline works herald first, so its cost scales with heralds, not
+Trials are generated in chunks whose length follows from the source
+alone, a power-of-two multiple of 2^22 trials sized so each chunk draws
+about the same number of events, with per-chunk random streams, so any
+worker partition of the trial range produces the same clicks.  The
+pipeline works herald first, so its cost scales with heralds, not
 trials: each chunk draws the geometric gaps between its heralded
 trials, and only the trials up to noise_periods after a herald, whose
 clicks alone can pair with one, draw their other pairs, the photon
-fates and the dark and background clicks.  The fold pairs each click
-with the few heralds of its own neighbourhood, and takes each chunk's
-clicks as that chunk is fated, so a run holds its heralds and window
-pieces but never all of its clicks.
+fates and the dark and background clicks.  Each chunk folds its clicks
+against its own heralds and hands back a partial histogram; only the
+clicks of its first noise_periods trials are paired with the heralds
+of the chunks before, so a run holds one chunk per worker at a time.
 """
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,20 +37,32 @@ from .lgi import ExcitationState, state_at
 from .quantum import DensityMatrix, born_probability
 from ._rng import stream, STREAM_FATES, STREAM_NOISE, STREAM_PIPELINE
 
-# Trials per generation chunk.  Fixed: chunk boundaries define the
-# random streams, so changing this reshuffles every simulated run.
+# Fewest trials per generation chunk.  Fixed: chunk boundaries define
+# the random streams, so changing this reshuffles every simulated run.
 _CHUNK = 1 << 22
 
 # Longest supported run: the chunk index fills the low 21 bits of each
-# stream index, the run index the bits above.
+# stream index, the run index the bits above.  Chunks are never shorter
+# than _CHUNK, so a run has at most 2^21 of them.
 MAX_TRIALS = _CHUNK << 21
 
-# Fewest clicks folded at once: smaller click parts are joined up to it,
-# so sparse runs fold in a few numpy calls.  Below the clicks of one
-# dense chunk (about 2.3e5 for a p = 0.1 thermal source), so such a
-# chunk folds alone, uncopied; at 2^18 two of them were joined and the
-# traced peak of a 4e7-trial run rose from 148 MB to 184 MB.
-_FOLD_CLICKS = 1 << 17
+# Expected events (heralds, photons and noise clicks) a chunk may draw.
+# A p = 0.1 thermal source draws about 0.15 per trial and keeps chunks of
+# _CHUNK trials (about 3.8e5 heralds each); the paper source, about
+# 2.3e-4 per trial, gets chunks of 2^32 trials.
+_CHUNK_EVENTS = 1 << 20
+
+# Window pieces a chunk fates and folds at once.  Each group draws its
+# own pairs, fates and noise clicks in turn, so this too is fixed.  It
+# bounds the temporaries, which the allocator then reuses from group to
+# group: a dense chunk fated and folded whole returned its 40 MB of
+# temporaries to the system and faulted them back in, over 10^5 page
+# faults and about half a second per 4e7-trial run.
+_PIECES = 1 << 14
+
+# Chunks handed to a worker pool at once: pool.map submits every call up
+# front, about 2 KB each, or 4 GB held through a run of 2^21 chunks.
+_POOL_SLICE = 64
 
 # Coincidence window widths (transmitted pulse / retrieved echo).
 TRANSMITTED_WINDOW = 2e-9
@@ -342,10 +353,11 @@ def _occupied(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
         gaps = rng.geometric(q, batch)
         # any gap past the chunk ends it; the cap keeps the sums finite
         np.minimum(gaps, size + 1, out=gaps)
-        pos = last + np.cumsum(gaps)
+        pos = np.cumsum(gaps, out=gaps)
+        pos += last
         parts.append(pos)
         last = int(pos[-1])
-    pos = np.concatenate(parts)
+    pos = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return pos[:np.searchsorted(pos, size)]
 
 
@@ -398,28 +410,23 @@ def _unheralded_pairs(rng: np.random.Generator, source: SourceParams, size: int)
     return local, 1 + _geometric0(rng, s, local.size)
 
 
-def _windows(heralds: np.ndarray, reach: int, n_trials: int):
-    """The trials whose clicks can pair with a herald, as half-open pieces.
+def _windows(heralds: np.ndarray, reach: int, size: int):
+    """The trials of a chunk whose clicks can pair with a herald, as
+    half-open pieces.
 
     Takes the union of the windows [h, h + reach] over the sorted,
-    unique heralds, clipped to the run and split at chunk boundaries.
+    unique heralds and of the first reach trials, whose clicks can pair
+    with the heralds of the chunks before, clipped to [0, size).
     Returns (starts, ends), the pieces in trial order.
     """
-    if heralds.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+    # the heralds before the chunk act as one at trial -1
+    heralds = np.concatenate(([-1], heralds))
     # an interval opens at each herald past the window of the one before
     # and closes where the window of its last herald ends
     gaps = np.flatnonzero(np.diff(heralds) > reach + 1)
     starts = heralds[np.concatenate(([0], gaps + 1))]
-    stops = np.minimum(heralds[np.append(gaps, heralds.size - 1)] + reach + 1, n_trials)
-    # a chunk boundary inside interval i closes it and opens the next;
-    # boundaries inside one interval insert in order
-    cuts = np.arange(_CHUNK, n_trials, _CHUNK, dtype=np.int64)
-    i = np.searchsorted(starts, cuts) - 1
-    inside = (i >= 0) & (stops[i] > cuts)
-    cuts, i = cuts[inside], i[inside]
-    return np.insert(starts, i + 1, cuts), np.insert(stops, i, cuts)
+    starts[0] = 0
+    return starts, np.minimum(heralds[np.append(gaps, heralds.size - 1)] + reach + 1, size)
 
 
 def _trials_at(positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -432,20 +439,21 @@ def _trials_at(positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -
     return positions + (starts - offsets + lengths)[piece]
 
 
-def _fate_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
-                starts, ends, herald_trials, herald_mult, cum_probs, centers,
-                sigmas, period: float):
-    """Category and click time of each photon in one chunk's window pieces.
+def _fate_chunk(rng: np.random.Generator, source: SourceParams, starts, ends,
+                herald_trials, herald_mult, cum_probs, centers, sigmas):
+    """Category and click time of each photon in a run of window pieces.
 
     The herald trials come with the pairs drawn with their heralds; the
     other trials of the pieces draw theirs here, given that none
-    heralded, and draws landing on a herald trial are dropped.
+    heralded, and draws landing on a herald trial are dropped.  A click
+    may fall past its own trial period: the fold bins its delay as is.
     """
-    rng = stream(seed, STREAM_FATES, base_index | chunk)
     lengths = ends - starts
     local, mult = _unheralded_pairs(rng, source, int(lengths.sum()))
     trials = _trials_at(local, starts, lengths)
-    fresh = ~np.isin(trials, herald_trials, assume_unique=True)
+    # both are sorted: a trial is fresh when no herald trial equals it
+    fresh = (np.searchsorted(herald_trials, trials, side="left")
+             == np.searchsorted(herald_trials, trials, side="right"))
     photon_trials = np.repeat(np.concatenate((herald_trials, trials[fresh])),
                               np.concatenate((herald_mult, mult[fresh])))
     u = rng.random(photon_trials.size)
@@ -454,71 +462,34 @@ def _fate_chunk(source: SourceParams, seed: int, base_index: int, chunk: int,
     cat = cat[clicked]
     click_trials = photon_trials[clicked]
     times = rng.normal(centers[cat], sigmas[cat])
-    # Lower bound strictly positive: mass pinned at exactly 0.0 would sit
-    # on a histogram bin boundary and fold inconsistently across periods.
-    np.clip(times, 1e-12, period * (1.0 - 1e-12), out=times)
+    # Strictly positive: mass pinned at exactly 0.0 would sit on a
+    # histogram bin boundary and fold inconsistently across periods.
+    np.maximum(times, 1e-12, out=times)
     return click_trials, times, cat
 
 
-def _blocks(parts, size: int):
-    """Regroup a stream of (trials, times, categories) click parts into
-    blocks of at least size clicks; the last block may hold fewer.
+def _fold(trials, times, cats, heralds, period: float, bin_width: float,
+          n_bins: int, max_lag: int, n_cats: int):
+    """Flat (category, bin) counts of click-herald delays.
 
-    Parts are only held until they fill a block, so a part below the
-    block size costs no numpy call of its own.
-    """
-    def joined(held):
-        return held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held)))
-
-    held, n = [], 0
-    for part in parts:
-        held.append(part)
-        n += part[0].size
-        if n >= size:
-            yield joined(held)
-            held, n = [], 0
-    if n:
-        yield joined(held)
-
-
-def _fold_heralds(parts, heralds, n_cats: int, period: float, bin_width: float,
-                  n_bins: int, max_lag: int):
-    """Histogram click-herald delays per click category.
-
-    parts is an iterable of (trials, times, categories) click arrays,
-    consumed as it is produced, so a run's clicks are folded as they are
-    fated and never held at once.  A click at in-trial time t in trial i
-    pairs with every herald of the trials i - max_lag .. i; a herald m
-    trials back gives the delay t + m * period, binned as
-    floor(delay / bin_width), and out-of-range bins are dropped.
-    heralds must be sorted and unique.  The histogram is a sum over
-    blocks of _FOLD_CLICKS clicks or more, so how the clicks are split
-    into parts cannot change it.  Returns (n_cats, n_bins) int64 counts.
-    """
-    out = np.zeros(n_cats * n_bins, dtype=np.int64)
-    for block in _blocks(parts, _FOLD_CLICKS):
-        out += _fold_block(*block, heralds, period, bin_width, n_bins, max_lag,
-                           out.size)
-    return out.reshape(n_cats, n_bins)
-
-
-def _fold_block(trials, times, cats, heralds, period: float, bin_width: float,
-                n_bins: int, max_lag: int, size: int):
-    """Flat (category, bin) counts of one block's click-herald pairs.
-
-    A function of its own so that the pair-sized temporaries are freed
-    before the fold pulls, and so fates, the next chunk.
+    A click at in-trial time t in trial i pairs with every herald of the
+    trials i - max_lag .. i; a herald m trials back gives the delay
+    t + m * period, binned as floor(delay / bin_width), and out-of-range
+    bins are dropped.  heralds must be sorted and unique.  Returns
+    n_cats * n_bins int64 counts, category-major.
     """
     lo = np.searchsorted(heralds, trials - max_lag, side="left")
     n = np.searchsorted(heralds, trials, side="right") - lo
     click = np.repeat(np.arange(trials.size), n)
     # herald of each pair: its click's first herald plus its rank
-    rank = np.arange(click.size) - np.repeat(np.cumsum(n) - n, n)
-    m = trials[click] - heralds[lo[click] + rank]
-    delay = times[click] + m * period
-    idx = np.floor(delay / bin_width).astype(np.int64)
-    ok = (idx >= 0) & (idx < n_bins)
-    return np.bincount(cats[click[ok]] * n_bins + idx[ok], minlength=size)
+    herald = np.arange(click.size) - np.repeat(np.cumsum(n) - n - lo, n)
+    delay = (trials[click] - heralds[herald]) * period
+    delay += times[click]
+    delay /= bin_width
+    # truncation is the floor wherever delay >= 0
+    idx = delay.astype(np.int64)
+    ok = (delay >= 0.0) & (idx < n_bins)
+    return np.bincount(cats[click[ok]] * n_bins + idx[ok], minlength=n_cats * n_bins)
 
 
 def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
@@ -572,25 +543,6 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
     return orders, np.cumsum(click_probs), np.array(centers), sigmas
 
 
-def _map(fn, items, pool: Optional[ThreadPoolExecutor], workers: int):
-    """fn over items, lazily and in order.
-
-    A pool gets at most workers + 1 calls ahead of the consumer, enough
-    to keep it busy; pool.map would submit every call at once and hold
-    every result until it is read.
-    """
-    if pool is None:
-        yield from map(fn, items)
-        return
-    ahead = deque()
-    for item in items:
-        ahead.append(pool.submit(fn, item))
-        if len(ahead) > workers:
-            yield ahead.popleft().result()
-    while ahead:
-        yield ahead.popleft().result()
-
-
 def _noise_clicks(rng: np.random.Generator, source: SourceParams, starts: np.ndarray,
                   ends: np.ndarray, first_cat: int):
     """Dark, then background, click parts inside the window pieces.
@@ -608,6 +560,65 @@ def _noise_clicks(rng: np.random.Generator, source: SourceParams, starts: np.nda
                       rng.random(n) * source.trial_period,
                       np.full(n, first_cat + k, dtype=np.int64)))
     return parts
+
+
+def _chunk_trials(source: SourceParams, noise_periods: int) -> int:
+    """Trials per chunk: the largest _CHUNK << k, up to MAX_TRIALS, whose
+    expected events stay within _CHUNK_EVENTS.
+
+    The events are the heralds, real and false, plus the photons and the
+    dark and background clicks drawn in the trials up to noise_periods
+    after a herald.  No chunk is shorter than _CHUNK, whatever the load.
+    """
+    p, eta, period = source.pair_probability, source.heralding_efficiency, source.trial_period
+    real = p * eta if source.statistics == "bernoulli" else p * eta / (1.0 + p * eta)
+    herald = 1.0 - (1.0 - real) * math.exp(-source.dark_rate * period)
+    window = 1.0 - (1.0 - herald) ** (noise_periods + 1)
+    per_trial = herald + window * (p + (source.dark_rate + source.background_rate) * period)
+    length = _CHUNK
+    while length < MAX_TRIALS and 2 * length * per_trial <= _CHUNK_EVENTS:
+        length *= 2
+    return length
+
+
+def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reach: int,
+                    cum_probs, centers, sigmas, bin_width: float, n_bins: int):
+    """All the work of one chunk of size trials, in its own trial numbers.
+
+    Real heralds come from the chunk's pipeline stream; false heralds,
+    then dark and background clicks, from its noise stream; pairs and
+    fates from its fates stream.  Returns the flat counts of its clicks
+    paired with its heralds, its herald count, its heralds in the last
+    reach trials, and its (trials, times, categories) clicks in the
+    first reach trials, which can pair with heralds of earlier chunks.
+    """
+    period = source.trial_period
+    real, mult = _heralded_pairs(stream(seed, STREAM_PIPELINE, index), source, size)
+    rng = stream(seed, STREAM_NOISE, index)
+    false = rng.integers(0, size, rng.poisson(size * period * source.dark_rate))
+    heralds = real
+    if false.size:
+        heralds = np.sort(np.concatenate((real, false)))
+        heralds = heralds[np.diff(heralds, prepend=-1) != 0]
+    starts, ends = _windows(heralds, reach, size)
+    rng_fates = stream(seed, STREAM_FATES, index)
+    counts = np.zeros((centers.size + 2) * n_bins, dtype=np.int64)
+    for a in range(0, starts.size, _PIECES):
+        s, e = starts[a:a + _PIECES], ends[a:a + _PIECES]
+        lo, hi = np.searchsorted(real, (s[0], e[-1]))
+        parts = [_fate_chunk(rng_fates, source, s, e, real[lo:hi], mult[lo:hi],
+                             cum_probs, centers, sigmas)]
+        parts += _noise_clicks(rng, source, s, e, centers.size)
+        trials, times, cats = map(np.concatenate, zip(*parts))
+        # a herald shares its piece with every click it pairs with
+        lo, hi = np.searchsorted(heralds, (s[0], e[-1]))
+        counts += _fold(trials, times, cats, heralds[lo:hi], period, bin_width, n_bins,
+                        reach, centers.size + 2)
+        if a == 0:
+            # the first piece holds the first reach trials
+            first = trials < reach
+            head = trials[first], times[first], cats[first]
+    return (counts, heralds.size, heralds[heralds >= size - reach], *head)
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
@@ -631,46 +642,34 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     if not 0 <= run_index < 2048:
         raise DomainError("run_index must be in [0, 2048)")
     base_index = run_index << 21
-    n_chunks = (duration_trials + _CHUNK - 1) // _CHUNK
+    length = min(_chunk_trials(source, noise_periods), duration_trials)
+    n_chunks = -(-duration_trials // length)
     period = source.trial_period
     orders, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
-    n_signal = 1 + len(orders)
+    n_cats = len(orders) + 3
     n_bins = int(round((noise_periods + 1) * period / bin_width))
 
-    # --- real heralds, each chunk from its own stream ------------------
-    def heralded(c):
-        start = c * _CHUNK
-        rng = stream(seed, STREAM_PIPELINE, base_index | c)
-        local, mult = _heralded_pairs(rng, source, min(_CHUNK, duration_trials - start))
-        return start + local, mult
+    def chunk(c):
+        return _simulate_chunk(source, seed, base_index | c,
+                               min(length, duration_trials - c * length), noise_periods,
+                               cum_probs, centers, sigmas, bin_width, n_bins)
 
+    folded = np.zeros(n_cats * n_bins, dtype=np.int64)
+    n_heralds = 0
+    # the heralds of the noise_periods trials before the chunk, in its
+    # trial numbers; chunks may be shorter than noise_periods
+    recent = np.empty(0, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        real = list(_map(heralded, range(n_chunks), pool, workers))
-
-        # --- false heralds and the herald windows ----------------------
-        rng_noise = stream(seed, STREAM_NOISE, run_index)
-        n_false = rng_noise.poisson(duration_trials * period * source.dark_rate)
-        false_heralds = rng_noise.integers(0, duration_trials, n_false)
-        heralds = np.concatenate([r[0] for r in real] + [false_heralds])
-        heralds.sort()
-        if heralds.size:
-            heralds = heralds[np.concatenate(([True], heralds[1:] != heralds[:-1]))]
-        starts, ends = _windows(heralds, noise_periods, duration_trials)
-        noise = _noise_clicks(rng_noise, source, starts, ends, n_signal)
-
-        # --- pairs and fates inside the windows, per chunk --------------
-        # the pieces are in trial order, so each chunk's pieces form one
-        # run; the fold takes each chunk's clicks as they are fated
-        edges = np.searchsorted(starts, np.arange(n_chunks + 1) * _CHUNK)
-        runs = [(c, a, b) for c, (a, b) in enumerate(zip(edges[:-1], edges[1:])) if b > a]
-
-        def fates(run):
-            c, a, b = run
-            return _fate_chunk(source, seed, base_index, c, starts[a:b], ends[a:b],
-                               *real[c], cum_probs, centers, sigmas, period)
-
-        folded = _fold_heralds(chain(_map(fates, runs, pool, workers), noise), heralds,
-                               n_signal + 2, period, bin_width, n_bins, noise_periods)
+        run = map if pool is None else pool.map
+        parts = (part for lo in range(0, n_chunks, _POOL_SLICE)
+                 for part in run(chunk, range(lo, min(n_chunks, lo + _POOL_SLICE))))
+        for c, (counts, n, tail, *head) in enumerate(parts):
+            folded += counts
+            folded += _fold(*head, recent, period, bin_width, n_bins, noise_periods, n_cats)
+            n_heralds += n
+            size = min(length, duration_trials - c * length)
+            recent = np.concatenate((recent[recent >= size - noise_periods], tail)) - size
+    folded = folded.reshape(n_cats, n_bins)
     labels = ["transmitted"] + [f"echo{k}" for k in orders] + ["dark", "background"]
     per_cat = [int(n) for n in folded.sum(axis=1)]
     total = folded.sum(axis=0)
@@ -687,7 +686,7 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
         signal_window=signal_window,
         period=period,
         noise_periods=noise_periods,
-        n_heralds=int(heralds.size),
+        n_heralds=n_heralds,
         n_trials=duration_trials,
         category_counts=tuple(zip(labels, per_cat)),
     )

@@ -47,8 +47,9 @@ def simulate_per_trial(source, memory, analyzer, n_trials, seed,
     clicked = cat < centers.size
     cat = cat[clicked]
     trials = [pair_trials[clicked]]
-    times = [np.clip(rng.normal(centers[cat], sigmas[cat]),
-                     1e-12, period * (1.0 - 1e-12))]
+    # strictly positive, as the pipeline draws them; a click may fall
+    # past its own period
+    times = [np.maximum(rng.normal(centers[cat], sigmas[cat]), 1e-12)]
     cats = [cat]
     for k, rate in enumerate((source.dark_rate, source.background_rate)):
         n = rng.poisson(rate * period, n_trials)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -23,14 +24,17 @@ from lgi_echo.errors import (
     InvariantViolation,
     UndefinedEstimateError,
 )
+from lgi_echo.config import parse_config
 from lgi_echo.photons import (
-    _blocks,
+    _CHUNK,
+    _chunk_trials,
     _fate_table,
-    _fold_heralds,
+    _fold,
     _heralded_pairs,
     _occupied,
     _unheralded_pairs,
     _windows,
+    MAX_TRIALS,
     RETRIEVED_WINDOW,
     TRANSMITTED_WINDOW,
     CoincidenceHistogram,
@@ -513,7 +517,7 @@ class TestHeraldFirst:
         # 40 seeds a side; chunks of 4096 trials put herald windows
         # across chunk boundaries
         src, mem, n_trials, seeds = _noisy_source(statistics), paper_memory(), 100_000, 40
-        with mock.patch.object(photons, "_CHUNK", 4096):
+        with mock.patch.object(photons, "_chunk_trials", return_value=4096):
             fast = [simulate_run(src, mem, None, n_trials, seed=s) for s in range(seeds)]
         slow = [simulate_per_trial(src, mem, None, n_trials, seed=s) for s in range(seeds)]
         for name in ["heralds"] + [c for c, _ in fast[0].category_counts]:
@@ -526,37 +530,122 @@ class TestHeraldFirst:
         assert np.mean([dict(r.category_counts)["echo1"] for r in fast]) > 20
 
     @settings(max_examples=200, deadline=None)
-    @given(chunk=st.integers(2, 40), n_trials=st.integers(1, 300),
-           reach=st.integers(1, 12), data=st.data())
-    def test_windows_are_the_herald_neighbourhoods(self, chunk, n_trials, reach, data):
-        heralds = sorted(data.draw(st.sets(st.integers(0, n_trials - 1), max_size=40)))
-        with mock.patch.object(photons, "_CHUNK", chunk):
-            starts, ends = _windows(np.array(heralds, dtype=np.int64), reach, n_trials)
-        dense = np.zeros(n_trials, dtype=bool)
+    @given(size=st.integers(1, 300), reach=st.integers(1, 12), data=st.data())
+    def test_windows_are_the_herald_neighbourhoods(self, size, reach, data):
+        heralds = sorted(data.draw(st.sets(st.integers(0, size - 1), max_size=40)))
+        starts, ends = _windows(np.array(heralds, dtype=np.int64), reach, size)
+        # the first reach trials can pair with heralds of earlier chunks
+        dense = np.zeros(size, dtype=bool)
+        dense[:reach] = True
         for h in heralds:
             dense[h:h + reach + 1] = True
-        covered = np.zeros(n_trials, dtype=int)
+        covered = np.zeros(size, dtype=int)
         for a, b in zip(starts, ends):
-            assert a < b and a // chunk == (b - 1) // chunk
+            assert a < b
             covered[a:b] += 1
         assert np.array_equal(covered, dense)
         assert np.all(np.diff(starts) > 0)
 
     @settings(max_examples=25, deadline=None)
-    @given(chunk=st.integers(64, 512), seed=st.integers(0, 2**32),
-           statistics=st.sampled_from(["bernoulli", "thermal"]),
-           n_trials=st.integers(1, 20_000), noise_periods=st.integers(1, 12))
-    def test_independent_of_workers_across_chunk_edges(self, chunk, seed, statistics,
-                                                        n_trials, noise_periods):
+    @given(seed=st.integers(0, 2**32), statistics=st.sampled_from(["bernoulli", "thermal"]),
+           noise_periods=st.integers(1, 12), data=st.data())
+    def test_independent_of_workers_across_chunk_edges(self, seed, statistics,
+                                                        noise_periods, data):
+        # chunks down to one trial, some shorter than noise_periods
+        chunk = data.draw(st.integers(1, 512))
+        n_trials = data.draw(st.integers(1, min(20_000, 64 * chunk)))
         src = _noisy_source(statistics)
-        with mock.patch.object(photons, "_CHUNK", chunk):
+        with mock.patch.object(photons, "_chunk_trials", return_value=chunk):
             runs = [simulate_run(src, paper_memory(), None, n_trials, seed,
                                  noise_periods=noise_periods, workers=w)
-                    for w in (1, 2, 3)]
+                    for w in (1, 2, 8)]
         for other in runs[1:]:
             assert other.counts.tobytes() == runs[0].counts.tobytes()
             assert other.category_counts == runs[0].category_counts
             assert other.n_heralds == runs[0].n_heralds
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 64])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_every_lag_is_counted_once_across_chunk_edges(self, chunk, workers):
+        # p = eta = 1 on a lossless chain without memory or noise: every
+        # trial heralds and clicks once, so lag m pairs the N - m clicks
+        # of trials m .. N-1 with the heralds m trials back
+        src = SourceParams(pair_probability=1.0)
+        n_trials, noise_periods = 200, 8
+        with mock.patch.object(photons, "_chunk_trials", return_value=chunk):
+            hist = simulate_run(src, None, None, n_trials, seed=4,
+                                noise_periods=noise_periods, workers=workers)
+        per_lag = hist.counts.reshape(noise_periods + 1, -1).sum(axis=1)
+        assert per_lag.tolist() == [n_trials - m for m in range(noise_periods + 1)]
+        assert hist.total() == ((noise_periods + 1) * n_trials
+                                - noise_periods * (noise_periods + 1) // 2)
+        assert hist.n_heralds == n_trials
+
+    def test_echo_past_the_trial_period_lands_at_its_delay(self):
+        # a 250 ns echo with a 200 ns trial period: an ideal memory puts
+        # every click in echo 1, whose zero-lag entries sit around bin
+        # 125; clipping click times into their own period would pile
+        # them into bin 99
+        src = SourceParams(pair_probability=0.01, trial_period=200 * NS)
+        with mock.patch.object(photons, "_comb_transmission", return_value=0.0), \
+                mock.patch.object(photons, "_echo_efficiencies", return_value=(1.0,)):
+            hist = simulate_run(src, paper_memory(250 * NS), None, 1_000_000, seed=3)
+        cats = dict(hist.category_counts)
+        assert cats["echo1"] == hist.total()
+        first_periods = int(hist.counts[:200].sum())
+        assert hist.counts[99] == 0 and first_periods > 5000
+        assert int(hist.counts[115:135].sum()) >= 0.97 * first_periods
+
+
+class TestChunkSizing:
+    @pytest.mark.parametrize("source", [
+        paper_source(),
+        SourceParams(pair_probability=0.1, statistics="thermal"),
+        SourceParams(pair_probability=1.0),
+        SourceParams(pair_probability=0.0),
+        _noisy_source("bernoulli"),
+        _noisy_source("thermal"),
+    ])
+    @pytest.mark.parametrize("noise_periods", [1, 8, 40])
+    def test_length_is_a_power_of_two_multiple_of_the_chunk(self, source, noise_periods):
+        length = _chunk_trials(source, noise_periods)
+        k = (length // _CHUNK).bit_length() - 1
+        assert length == _CHUNK << k and _CHUNK <= length <= MAX_TRIALS
+
+    def test_dense_and_paper_sources(self):
+        # the p = 0.1 thermal source keeps chunks of 2^22 trials; the
+        # paper source runs 2e8 trials as one chunk
+        assert _chunk_trials(SourceParams(pair_probability=0.1, statistics="thermal"),
+                             8) == 1 << 22
+        assert _chunk_trials(paper_source(), 8) >= 200_000_000
+        assert _chunk_trials(SourceParams(pair_probability=0.0), 8) == MAX_TRIALS
+
+    @pytest.mark.parametrize("n_trials", [1, 5_000_000, 30_000_000])
+    def test_length_ignores_workers_and_run_length(self, n_trials):
+        # the chunks a run asks for depend on the run length only through
+        # the cut at its end
+        src = SourceParams(pair_probability=0.1, statistics="thermal", transmission_signal=0.0)
+        length = _chunk_trials(src, 8)
+        for workers in (1, 2, 8):
+            sizes = []
+            chunk = photons._simulate_chunk
+
+            def spy(source, seed, index, size, *args):
+                sizes.append((index, size))
+                return chunk(source, seed, index, size, *args)
+
+            with mock.patch.object(photons, "_simulate_chunk", spy):
+                simulate_run(src, None, None, n_trials, seed=1, workers=workers)
+            full, rest = divmod(n_trials, length)
+            assert sorted(sizes) == [(c, length) for c in range(full)] + (
+                [(full, rest)] if rest else [])
+
+    @pytest.mark.parametrize("source", [
+        {}, {"statistics": "thermal", "pair_probability": 0.1}])
+    def test_longest_run_still_validates(self, source):
+        doc = {"scenario": "g2_vs_storage", "defaults": "paper", "source": source,
+               "statistics": {"trials": MAX_TRIALS}}
+        assert parse_config(json.dumps(doc)).statistics.trials == MAX_TRIALS
 
 
 # sha256 of a small fixed run, per STREAM_LAYOUT.  A change that moves an
@@ -573,6 +662,9 @@ _PINNED_RUN = {
     6: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
     # layout 7 changed the qubit type only
     7: "0dcd71db8320e06e0720013e1b1839e85b9204b70b5d11280fab39aae7b7e7d7",
+    # layout 8 draws false heralds and noise clicks per chunk and fates
+    # the first noise_periods trials of every chunk
+    8: "632a41955faf3cb9aba90ce9b323b020cfb8f9fae0f790fdfbf4fbca3ba39eda",
 }
 
 
@@ -583,16 +675,7 @@ def test_stream_layout_pins_the_simulated_histogram():
     assert hashlib.sha256(blob).hexdigest() == _PINNED_RUN[STREAM_LAYOUT]
 
 
-_EDGE_TIMES = st.sampled_from([1e-12, PERIOD * (1.0 - 1e-12)])
-
-
-def _split(draw, arrays):
-    """The arrays cut at random points into consecutive parts, empty
-    parts included."""
-    n = arrays[0].size
-    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
-    bounds = [0] + cuts + [n]
-    return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(bounds[:-1], bounds[1:])]
+_EDGE_TIMES = st.sampled_from([1e-12, PERIOD * (1.0 - 1e-12), PERIOD, 2.5 * PERIOD])
 
 
 @st.composite
@@ -600,28 +683,27 @@ def _fold_case(draw):
     n_trials = draw(st.integers(1, 40))
     trial = st.integers(0, n_trials - 1)
     heralds = sorted(draw(st.sets(trial, max_size=n_trials)))
+    # click times run past one period: a late echo keeps its delay
     clicks = draw(st.lists(st.tuples(
         trial,
-        st.one_of(_EDGE_TIMES, st.floats(1e-12, PERIOD * (1.0 - 1e-12))),
+        st.one_of(_EDGE_TIMES, st.floats(1e-12, 3.0 * PERIOD)),
         st.integers(0, 2)), max_size=60))
     arrays = (np.array([c[0] for c in clicks], dtype=np.int64),
               np.array([c[1] for c in clicks], dtype=np.float64),
               np.array([c[2] for c in clicks], dtype=np.int64))
     max_lag = draw(st.integers(1, 12))
     bin_width = draw(st.sampled_from([BIN, 1e-9, 7e-9]))
-    block = draw(st.integers(1, 8))
-    return n_trials, heralds, arrays, _split(draw, arrays), max_lag, bin_width, block
+    return n_trials, heralds, arrays, max_lag, bin_width
 
 
 class TestHeraldFold:
     @settings(max_examples=300, deadline=None)
     @given(_fold_case())
     def test_matches_dense_oracle(self, case):
-        n_trials, heralds, (trials, times, cats), parts, max_lag, bin_width, block = case
+        n_trials, heralds, (trials, times, cats), max_lag, bin_width = case
         n_bins = int(round((max_lag + 1) * PERIOD / bin_width))
-        with mock.patch.object(photons, "_FOLD_CLICKS", block):
-            got = _fold_heralds(iter(parts), np.array(heralds, dtype=np.int64),
-                                3, PERIOD, bin_width, n_bins, max_lag)
+        got = _fold(trials, times, cats, np.array(heralds, dtype=np.int64),
+                    PERIOD, bin_width, n_bins, max_lag, 3).reshape(3, n_bins)
         mask = np.zeros(n_trials, dtype=np.uint8)
         mask[heralds] = 1
         for c in range(3):
@@ -633,56 +715,50 @@ class TestHeraldFold:
     def test_empty_inputs(self):
         none = np.empty(0, dtype=np.int64)
         one = np.array([3], dtype=np.int64)
-
-        def part(trials):
-            return trials, np.full(trials.size, 1e-9), trials * 0
-
-        cases = [([], one), ([part(none)], one), ([part(none), part(none)], none),
-                 ([part(one)], none), ([part(none), part(one)], none), ([], none)]
-        for parts, heralds in cases:
-            got = _fold_heralds(iter(parts), heralds, 2, PERIOD, BIN, 400, 1)
-            assert got.shape == (2, 400) and got.sum() == 0
-
-    @settings(max_examples=200, deadline=None)
-    @given(sizes=st.lists(st.integers(0, 20), max_size=12), size=st.integers(1, 30))
-    def test_blocks_regroup_parts(self, sizes, size):
-        clicks = np.arange(sum(sizes), dtype=np.int64)
-        bounds = np.cumsum([0] + sizes)
-        parts = [(clicks[a:b], clicks[a:b] * 0.5, -clicks[a:b])
-                 for a, b in zip(bounds[:-1], bounds[1:])]
-        blocks = list(_blocks(iter(parts), size))
-        for k in range(3):
-            joined = (np.concatenate([b[k] for b in blocks]) if blocks
-                      else np.empty(0))
-            assert np.array_equal(joined, np.concatenate([p[k] for p in parts])
-                                  if parts else np.empty(0))
-        assert all(b[0].size >= size for b in blocks[:-1])
-        assert all(b[0].size == b[1].size == b[2].size > 0 for b in blocks)
+        for trials, heralds in [(none, one), (none, none), (one, none)]:
+            got = _fold(trials, np.full(trials.size, 1e-9), trials * 0, heralds,
+                        PERIOD, BIN, 400, 1, 2)
+            assert got.shape == (800,) and got.sum() == 0
 
     @pytest.mark.parametrize("workers, most_held", [(1, 1), (2, 3)])
     def test_clicks_are_folded_as_chunks_are_fated(self, workers, most_held):
-        # one worker folds, and drops, each chunk's clicks before the next
-        # chunk is fated, so only the previous chunk's clicks are held
-        # while one is fated; a pool runs at most `workers` fates ahead of
-        # the fold, so fated chunks wait in it but never pile up
+        # a chunk folds its clicks as it fates them and hands back only a
+        # partial histogram, its last heralds and its first clicks, so its
+        # herald arrays die with it: each worker holds one chunk, and at
+        # most `workers` + 1 chunks are alive, the starting one included
         alive = []
         held = []
-        fate = photons._fate_chunk
+        heralded = photons._heralded_pairs
 
         def tracked(*args):
-            held.append(sum(ref() is not None for ref in alive))
-            out = fate(*args)
-            alive.append(weakref.ref(out[1]))
+            held.append(1 + sum(ref() is not None for ref in alive))
+            out = heralded(*args)
+            alive.append(weakref.ref(out[0]))
             return out
 
         src = SourceParams(pair_probability=0.1, statistics="thermal")
-        with mock.patch.object(photons, "_CHUNK", 4096), \
-                mock.patch.object(photons, "_FOLD_CLICKS", 64), \
-                mock.patch.object(photons, "_fate_chunk", tracked):
+        with mock.patch.object(photons, "_chunk_trials", return_value=4096), \
+                mock.patch.object(photons, "_heralded_pairs", tracked):
             hist = simulate_run(src, paper_memory(), None, 200_000, seed=3,
                                 workers=workers)
         assert len(held) == 49 and hist.total() > 0
         assert max(held) <= most_held
+
+    def test_traced_peak_does_not_grow_with_trials(self):
+        # one chunk per worker is resident: eight times the chunks of a
+        # dense run leave the traced peak where it was
+        src = SourceParams(pair_probability=0.1, statistics="thermal")
+        peaks = []
+        with mock.patch.object(photons, "_chunk_trials", return_value=1 << 16):
+            for n_trials in (4 << 16, 32 << 16):
+                tracemalloc.start()
+                try:
+                    simulate_run(src, paper_memory(), None, n_trials, seed=2)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0], peaks
+
 
 # ---------------------------------------------------------------------------
 # storage-time sweep
