@@ -83,6 +83,12 @@ class CombSpec:
                 f"{self.optical_depth} and {self.background_depth}"
             )
 
+    @property
+    def m_max(self) -> int:
+        """Index of the outermost teeth: the envelope holds the teeth
+        m = -m_max .. m_max, a single one when m_max is 0."""
+        return int(self.bandwidth / 2.0 // self.periodicity_delta)
+
 
 @dataclass(frozen=True, eq=False)
 class AtomEnsemble:
@@ -157,10 +163,9 @@ def sample_ensemble(spec: CombSpec, n_atoms: int, seed: int) -> AtomEnsemble:
         raise DomainError(f"n_atoms must be >= 1, got {n_atoms}")
     rng = stream(seed, STREAM_ENSEMBLE)
     delta = spec.periodicity_delta
-    m_max = int(spec.bandwidth / 2.0 // delta)
     sigma = spec.tooth_fwhm * _FWHM_TO_SIGMA
 
-    m = rng.integers(-m_max, m_max + 1, size=n_atoms)
+    m = rng.integers(-spec.m_max, spec.m_max + 1, size=n_atoms)
     eps = rng.normal(0.0, sigma, size=n_atoms) if sigma > 0.0 else np.zeros(n_atoms)
     # keep every ion attributable to its tooth
     np.clip(eps, -delta / 2.0, delta / 2.0, out=eps)
@@ -311,8 +316,7 @@ def echo_efficiency(spec: CombSpec, storage_time: float,
             "returning the off-peak intensity",
             stacklevel=2,
         )
-    m_max = int(spec.bandwidth / 2.0 // delta)
-    m = np.arange(-m_max, m_max + 1)
+    m = np.arange(-spec.m_max, spec.m_max + 1)
     teeth = float(np.mean(np.cos(2.0 * math.pi * m * delta * storage_time)))
     tooth = _tooth_characteristic(spec.tooth_fwhm * _FWHM_TO_SIGMA, delta / 2.0,
                                   storage_time)

@@ -2,13 +2,18 @@
 
 Exit codes: 0 success, 2 configuration error (parse or validation),
 3 runtime error during a scenario.
+
+`main` may be called repeatedly in one process: each call builds its
+configuration afresh and shares only the argument parser, which parsing
+does not change.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
-from .config import SCENARIOS, default_document, parse_config
+from .config import SCENARIOS, default_document, paper_config, parse_config
 from .errors import ConfigurationError
 from .scenarios import emit_report, run_scenario
 
@@ -17,6 +22,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgi-echo",
@@ -81,8 +87,10 @@ def main(argv=None) -> int:
             print(f"ok: scenario={config.scenario} digest={config.digest()}")
             return EXIT_OK
 
-        text = _read(args.config) if args.config else default_document()
-        config = parse_config(text, scenario=args.scenario)
+        if args.config:
+            config = parse_config(_read(args.config), scenario=args.scenario)
+        else:
+            config = paper_config(args.scenario)
         config = _apply_overrides(config, args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,13 +17,20 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .afc import CombSpec
 from .errors import ConfigurationError
 from .lgi import ExcitationState
-from .photons import MAX_TRIALS, MemoryConfig, SourceParams, paper_source
+from .photons import (
+    MAX_TRIALS,
+    MemoryConfig,
+    SourceParams,
+    _fate_table,
+    paper_source,
+    storage_memories,
+)
 from .quantum import Channel
 from ._rng import STREAM_LAYOUT
 
@@ -37,6 +44,10 @@ SCENARIOS = (
 )
 
 OUTPUT_FORMATS = ("csv", "json", "both")
+
+# The storage times g2_vs_storage sweeps, 0 meaning the transmitted path;
+# parse time builds the memory of each.
+STORAGE_TIMES = (0.0, 50e-9, 125e-9, 250e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +196,12 @@ class OutputConfig:
         return self.format in ("json", "both")
 
 
+def _section_document(section) -> dict:
+    # every section field is a scalar, so a shallow dict is the whole
+    # section; asdict would deep-copy each value
+    return {f.name: getattr(section, f.name) for f in fields(section)}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated configuration for one scenario run."""
@@ -204,10 +221,10 @@ class ScenarioConfig:
     def to_document(self) -> dict:
         return {
             "scenario": self.scenario,
-            "physics": asdict(self.physics),
-            "source": asdict(self.source),
-            "statistics": asdict(self.statistics),
-            "output": asdict(self.output),
+            "physics": _section_document(self.physics),
+            "source": _section_document(self.source),
+            "statistics": _section_document(self.statistics),
+            "output": _section_document(self.output),
         }
 
     def canonical_json(self) -> str:
@@ -334,16 +351,56 @@ def parse_config(text: str, scenario: Optional[str] = None) -> ScenarioConfig:
         raise ConfigurationError("no scenario named (document key or CLI argument)")
     if not isinstance(chosen, str):
         raise ConfigurationError(f"scenario must be a string, got {chosen!r}")
-    return ScenarioConfig(scenario=chosen, **sections)
+    config = ScenarioConfig(scenario=chosen, **sections)
+    _check_scenario(config)
+    return config
 
 
-def default_document(scenario: str = "lgi_envelope") -> str:
-    """Canonical JSON of the paper-preset configuration."""
-    config = ScenarioConfig(
+def _check_scenario(config: ScenarioConfig) -> None:
+    """Build what the scenario builds beyond the sections, so that a
+    document that validates also runs.
+
+    Each check runs for its own scenario only: g2_vs_storage programs a
+    memory per storage time and its fate table; echo_trace needs a comb
+    of more than one tooth, or the trace has no echo.
+    """
+    physics = config.physics
+    if config.scenario == "g2_vs_storage":
+        memory = physics.memory()
+        for t in STORAGE_TIMES:
+            point = f"the {t * 1e9:g} ns point of the g2_vs_storage sweep"
+            try:
+                (memory_t,) = storage_memories(memory, (t,))
+            except ConfigurationError as exc:
+                # the comb fields it names are physics keys
+                raise ConfigurationError(
+                    f"physics.{exc}: {point} programs a {1e-6 / t:g} MHz grating"
+                ) from exc
+            try:
+                _fate_table(config.source, memory_t, None)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    "physics.tooth_fwhm, physics.optical_depth, "
+                    "physics.background_depth and physics.retrieval_prefactor "
+                    f"give {point}: {exc}") from exc
+    elif config.scenario == "echo_trace" and physics.comb().m_max < 1:
+        raise ConfigurationError(
+            f"physics.bandwidth {physics.bandwidth} Hz holds a single tooth of "
+            f"the physics.grating_delta {physics.grating_delta} Hz comb, so "
+            "echo_trace has no echo: bandwidth must be >= 2 * grating_delta")
+
+
+def paper_config(scenario: str = "lgi_envelope") -> ScenarioConfig:
+    """The paper-preset configuration of a scenario."""
+    return ScenarioConfig(
         scenario=scenario,
         physics=PhysicsConfig(),
         source=paper_source(),
         statistics=paper_statistics(),
         output=OutputConfig(),
     )
-    return config.canonical_json()
+
+
+def default_document(scenario: str = "lgi_envelope") -> str:
+    """Canonical JSON of the paper-preset configuration."""
+    return paper_config(scenario).canonical_json()

@@ -508,9 +508,10 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
         transmission = _comb_transmission(memory.comb)
         orders = _echo_orders(memory, period)
         effs = _echo_efficiencies(memory, orders)
-        if transmission + sum(effs) > 1.0 + 1e-9:
+        total = transmission + sum(effs)
+        if total > 1.0 + 1e-9:
             raise ConfigurationError(
-                "transmitted plus retrieved probability exceeds 1"
+                f"transmitted plus retrieved probability {total:.4g} exceeds 1"
             )
         delta = memory.comb.periodicity_delta
         centers = [0.0] + [k / delta for k in orders]
@@ -734,23 +735,21 @@ def heralded_autocorr_bound(g2_si: float) -> float:
     return float(4.0 / g2_si)
 
 
-def storage_histograms(source: SourceParams, memory: MemoryConfig,
-                       storage_times: Sequence[float], seed: int,
-                       duration_trials: int, analyzer: Optional[DensityMatrix] = None,
-                       bin_width: float = 2e-9, noise_periods: int = 8,
-                       workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
-    """One coincidence histogram per storage time, reprogramming the comb.
+def storage_memories(memory: MemoryConfig,
+                     storage_times: Sequence[float]) -> Tuple[Optional[MemoryConfig], ...]:
+    """The memory each storage time programs.
 
-    storage_time 0 means the transmitted (no memory) configuration;
-    other times move the first echo order to that delay by setting the
-    grating period to 1/t at fixed finesse.  Run i uses run_index i.
+    storage_time 0 means the transmitted (no memory) configuration,
+    None; memory.storage_time keeps memory; any other time moves the
+    first echo order to that delay by setting the grating period to 1/t
+    at fixed finesse.
     """
-    hists = []
-    for i, t in enumerate(storage_times):
+    memories = []
+    for t in storage_times:
         if t == 0.0:
-            mem_t = None
+            memories.append(None)
         elif t == memory.storage_time:
-            mem_t = memory
+            memories.append(memory)
         else:
             if t <= 0.0:
                 raise DomainError("storage times must be >= 0")
@@ -760,11 +759,31 @@ def storage_histograms(source: SourceParams, memory: MemoryConfig,
                 periodicity_delta=1.0 / t,
                 tooth_fwhm=memory.comb.tooth_fwhm * scale,
             )
-            mem_t = replace(memory, comb=comb, storage_time=t)
-        hists.append(simulate_run(
-            source, mem_t, analyzer, duration_trials, seed,
-            bin_width=bin_width, noise_periods=noise_periods,
-            workers=workers, run_index=i,
-        ))
-    return tuple(hists)
+            memories.append(replace(memory, comb=comb, storage_time=t))
+    return tuple(memories)
 
+
+def storage_histograms(source: SourceParams, memory: MemoryConfig,
+                       storage_times: Sequence[float], seed: int,
+                       duration_trials: int, analyzer: Optional[DensityMatrix] = None,
+                       bin_width: float = 2e-9, noise_periods: int = 8,
+                       workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
+    """One coincidence histogram per storage time of storage_memories.
+
+    Run i uses run_index i.  With several workers the runs go side by
+    side, up to one per worker, and each splits its chunks over its
+    share of the workers, so at most workers threads are busy.
+    """
+    memories = storage_memories(memory, storage_times)
+    side_by_side = max(1, min(workers, len(memories)))
+
+    def run(i):
+        return simulate_run(
+            source, memories[i], analyzer, duration_trials, seed,
+            bin_width=bin_width, noise_periods=noise_periods,
+            workers=workers // side_by_side, run_index=i,
+        )
+
+    with (ThreadPoolExecutor(max_workers=side_by_side) if side_by_side > 1
+          else nullcontext()) as pool:
+        return tuple((map if pool is None else pool.map)(run, range(len(memories))))

@@ -18,7 +18,7 @@ from typing import Tuple
 
 from . import __version__
 from .afc import echo_trace, sample_ensemble, trace_fwhm, trace_peak
-from .config import SCENARIOS, ScenarioConfig
+from .config import SCENARIOS, STORAGE_TIMES, ScenarioConfig
 from .errors import DomainError, InvariantViolation
 from .lgi import LGI_CSV_HEADER, conditional_probability, k_functionals, state_at
 from .photons import g2_cross, heralded_autocorr_bound, storage_histograms
@@ -47,7 +47,6 @@ _ENVELOPE_POINTS = 48
 
 _STATIONARITY_TIMES = tuple(k * 20e-9 for k in range(10))
 _MARKOV_TIMES = (0.0, 50e-9, 100e-9, 150e-9, 200e-9)
-_STORAGE_TIMES = (0.0, 50e-9, 125e-9, 250e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +282,14 @@ def _run_g2_vs_storage(config: ScenarioConfig):
     stats = config.statistics
     memory = config.physics.memory()
     hists = storage_histograms(
-        config.source, memory, _STORAGE_TIMES,
+        config.source, memory, STORAGE_TIMES,
         seed=stats.seed, duration_trials=stats.trials,
         workers=stats.workers,
     )
     results = [g2_cross(h) for h in hists]
     rows = [
         f"{t * 1e9:.6f},{_f(r.g2)},{_f(r.sigma)},{r.n_peak},{r.n_offset}"
-        for t, r in zip(_STORAGE_TIMES, results)
+        for t, r in zip(STORAGE_TIMES, results)
     ]
     csv = _csv_text(config, "storage_ns,g2,sigma,n_peak,n_offset", rows)
     stored = [r.g2 for r in results[1:]]
@@ -306,7 +305,7 @@ def _run_g2_vs_storage(config: ScenarioConfig):
     ]
     # deterministic counters: heralds and histogram entries per click
     # category at each storage time
-    for t, hist in zip(_STORAGE_TIMES, hists):
+    for t, hist in zip(STORAGE_TIMES, hists):
         tag = f"{round(t * 1e9)}ns"
         metrics.append((f"n_heralds_{tag}", hist.n_heralds))
         metrics.extend((f"entries_{tag}_{name}", n) for name, n in hist.category_counts)

@@ -11,7 +11,7 @@ import pytest
 
 import lgi_echo
 from lgi_echo import scenarios
-from lgi_echo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from lgi_echo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from lgi_echo.config import parse_config
 from lgi_echo.photons import MAX_TRIALS
 
@@ -101,6 +101,25 @@ class TestValidate:
         path = write_config(tmp_path, {"physics": {}})
         assert main(["validate", "--config", path]) == EXIT_CONFIG
         assert "no scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, physics, key", [
+        ("g2_vs_storage", {"tooth_fwhm": 5e5}, "physics.tooth_fwhm"),
+        ("g2_vs_storage", {"retrieval_prefactor": 1.0}, "physics.retrieval_prefactor"),
+        ("g2_vs_storage", {"bandwidth": 1e7}, "physics.bandwidth"),
+        ("echo_trace", {"bandwidth": 1e7}, "physics.bandwidth"),
+    ])
+    def test_a_document_that_validates_also_runs(self, tmp_path, capsys, scenario,
+                                                 physics, key):
+        # each once passed validate and then exited 3 at run
+        path = write_config(tmp_path, {"scenario": scenario, "defaults": "paper",
+                                       "physics": physics})
+        out = tmp_path / "out"
+        for argv in (["validate"], ["run", scenario, "--out", str(out)]):
+            assert main(argv + ["--config", path]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert key in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +308,39 @@ class TestRun:
         assert capsys.readouterr().err == (
             "runtime error [lgi_envelope]: ValueError: numpy says no\n")
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+# ---------------------------------------------------------------------------
+
+class TestRepeatedCalls:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_seed_override_does_not_stick(self, tmp_path, capsys):
+        for args, seed in ((["--seed", "7"], 7), ([], 0)):
+            out = tmp_path / f"seed{seed}"
+            assert main(["run", "lgi_envelope", "--out", str(out)] + args) == EXIT_OK
+            assert json.loads((out / "summary.json").read_text())["seed"] == seed
+            assert f"seed={seed}" in (out / "envelope.csv").read_text().splitlines()[0]
+        capsys.readouterr()
+
+    def test_format_override_does_not_stick(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "lgi_envelope", "--out", str(out), "--format", "csv"]) == EXIT_OK
+        assert os.listdir(out) == ["envelope.csv"]
+        assert main(["run", "lgi_envelope", "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["envelope.csv", "summary.json"]
+        capsys.readouterr()
+
+    def test_failed_validate_then_good_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "echo_trace",
+                                       "source": {"dark_rate": -1}})
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert main(["run", "tomography_demo", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "reconstruction.json").exists()
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Configuration documents: parsing, presets, validation, digests."""
 
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lgi_echo.afc import sample_ensemble
 from lgi_echo.config import (
     OUTPUT_FORMATS,
     PAPER_COUNTS_PER_POINT,
@@ -14,6 +17,7 @@ from lgi_echo.config import (
     ScenarioConfig,
     StatisticsConfig,
     default_document,
+    paper_config,
     paper_statistics,
     parse_config,
 )
@@ -70,6 +74,18 @@ class TestDefaults:
     def test_default_document_other_scenario(self):
         cfg = parse_config(default_document("echo_trace"))
         assert cfg.scenario == "echo_trace"
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_paper_config_is_the_parsed_default_document(self, scenario):
+        direct = paper_config(scenario)
+        parsed = parse_config(default_document(scenario), scenario=scenario)
+        assert direct == parsed
+        for name in ("physics", "source", "statistics", "output"):
+            a, b = getattr(direct, name), getattr(parsed, name)
+            for f in fields(a):
+                assert type(getattr(a, f.name)) is type(getattr(b, f.name)), f.name
+        assert direct.canonical_json() == parsed.canonical_json()
+        assert direct.digest() == parsed.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +208,28 @@ class TestPhysicsConfig:
     def test_bad_channel_kind(self):
         with pytest.raises(ConfigurationError, match="channel_kind"):
             PhysicsConfig(channel_kind="teleport")
+
+    @pytest.mark.parametrize("physics", [
+        {"tooth_fwhm": 5e5}, {"retrieval_prefactor": 1.0}, {"bandwidth": 1e7}])
+    def test_sweep_checks_belong_to_g2_vs_storage(self, physics):
+        # g2_vs_storage rejects each of these (tests/test_cli.py); the
+        # scenarios that build no swept memory accept them
+        doc = {"defaults": "paper", "physics": physics}
+        for scenario in set(SCENARIOS) - {"g2_vs_storage", "echo_trace"}:
+            parse(doc, scenario=scenario)
+
+    @pytest.mark.parametrize("bandwidth", [1e7, 15999999.0, 16e6, 16000001.0, 2.4e7])
+    def test_echo_trace_rejects_exactly_the_single_tooth_comb(self, bandwidth):
+        physics = {"bandwidth": bandwidth, "background_depth": 0.0}
+        doc = {"scenario": "echo_trace", "physics": physics}
+        ensemble = sample_ensemble(parse(doc, "lgi_envelope").physics.comb(), 2000, 0)
+        single_tooth = np.all(ensemble.tooth_indices == 0)
+        if single_tooth:
+            with pytest.raises(ConfigurationError, match="physics.bandwidth"):
+                parse(doc)
+        else:
+            parse(doc)
+        assert single_tooth == (bandwidth < 16e6)
 
     def test_comb_validation_is_wrapped(self):
         # tooth wider than spacing is invalid at the comb level
