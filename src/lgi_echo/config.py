@@ -29,6 +29,7 @@ from .photons import (
     SourceParams,
     _fate_table,
     paper_source,
+    signal_window,
     storage_memories,
 )
 from .quantum import Channel
@@ -361,7 +362,9 @@ def _check_scenario(config: ScenarioConfig) -> None:
     document that validates also runs.
 
     Each check runs for its own scenario only: g2_vs_storage programs a
-    memory per storage time and its fate table; echo_trace needs a comb
+    memory per storage time and its fate table, and each signal window
+    must close within the trial period, because a click pairs only with
+    the heralds of its own and earlier trials; echo_trace needs a comb
     of more than one tooth, or the trace has no echo.
     """
     physics = config.physics
@@ -383,6 +386,11 @@ def _check_scenario(config: ScenarioConfig) -> None:
                     "physics.tooth_fwhm, physics.optical_depth, "
                     "physics.background_depth and physics.retrieval_prefactor "
                     f"give {point}: {exc}") from exc
+            end = signal_window(memory_t)[1]
+            if end >= config.source.trial_period:
+                raise ConfigurationError(
+                    f"source.trial_period {config.source.trial_period:g} s must exceed "
+                    f"{end:g} s, where the signal window of {point} closes")
     elif config.scenario == "echo_trace" and physics.comb().m_max < 1:
         raise ConfigurationError(
             f"physics.bandwidth {physics.bandwidth} Hz holds a single tooth of "

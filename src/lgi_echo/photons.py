@@ -17,10 +17,17 @@ pipeline works herald first, so its cost scales with heralds, not
 trials: each chunk draws the geometric gaps between its heralded
 trials, and only the trials up to noise_periods after a herald, whose
 clicks alone can pair with one, draw their other pairs, the photon
-fates and the dark and background clicks.  Each chunk folds its clicks
-against its own heralds and hands back a partial histogram; only the
-clicks of its first noise_periods trials are paired with the heralds
-of the chunks before, so a run holds one chunk per worker at a time.
+fates and the dark and background clicks.  These window pieces are
+laid end to end, one slot per trial, with noise_periods empty slots
+before each, and a herald mask over that layout stands in for searches
+of the heralds: a real herald's slot drops the pairs drawn there as
+unheralded, and the fold pairs each click with the heralds marked up
+to noise_periods slots back.  So the mask grows with the heralds, not
+with the trials.
+Each chunk folds its clicks against its own heralds and hands back a
+partial histogram; only the clicks of its first noise_periods trials
+are paired with the heralds of the chunks before, so a run holds one
+chunk per worker at a time.
 """
 
 import math
@@ -292,6 +299,15 @@ class G2Result:
 # derived physics
 # ---------------------------------------------------------------------------
 
+def signal_window(memory: Optional[MemoryConfig]) -> Tuple[float, float]:
+    """Click-herald delays g2 counts as signal: the transmitted pulse
+    without a memory, else the retrieved echo around storage_time."""
+    if memory is None:
+        return (0.0, TRANSMITTED_WINDOW)
+    half = RETRIEVED_WINDOW / 2.0
+    return (memory.storage_time - half, memory.storage_time + half)
+
+
 def _comb_transmission(spec: CombSpec) -> float:
     """Spectral average of exp(-depth) over one grating period."""
     delta = spec.periodicity_delta
@@ -412,79 +428,132 @@ def _unheralded_pairs(rng: np.random.Generator, source: SourceParams, size: int)
 
 def _windows(heralds: np.ndarray, reach: int, size: int):
     """The trials of a chunk whose clicks can pair with a herald, as
-    half-open pieces.
+    half-open pieces laid out end to end.
 
     Takes the union of the windows [h, h + reach] over the sorted,
     unique heralds and of the first reach trials, whose clicks can pair
-    with the heralds of the chunks before, clipped to [0, size).
-    Returns (starts, ends), the pieces in trial order.
+    with the heralds of the chunks before, clipped to [0, size).  The
+    layout gives each trial of a piece a slot and puts reach empty
+    slots before every piece.  A herald's window never leaves its
+    piece, so looking up to reach slots back from a slot of a piece
+    finds exactly the heralds up to reach trials back.
+
+    Returns (lengths, bounds, slots): the length of each piece, in
+    trial order; the herald indices at which the pieces begin, so that
+    heralds bounds[j] .. bounds[j + 1] - 1 lie in piece j; and the slot
+    of each herald.  Piece 0 starts at trial 0 and slot reach, and piece
+    j > 0 at herald bounds[j] and its slot.
     """
-    # the heralds before the chunk act as one at trial -1
-    heralds = np.concatenate(([-1], heralds))
-    # an interval opens at each herald past the window of the one before
-    # and closes where the window of its last herald ends
-    gaps = np.flatnonzero(np.diff(heralds) > reach + 1)
-    starts = heralds[np.concatenate(([0], gaps + 1))]
-    starts[0] = 0
-    return starts, np.minimum(heralds[np.append(gaps, heralds.size - 1)] + reach + 1, size)
+    # the heralds before the chunk act as one at trial -1, in slot reach - 1
+    steps = np.diff(heralds, prepend=(-reach, -1))
+    # a piece opens at each herald past the window of the one before,
+    # after the rest of that window and reach empty slots
+    firsts = np.flatnonzero(steps > reach + 1)
+    steps[firsts] = 2 * reach + 1
+    slots = np.cumsum(steps, out=steps)
+    # the first slot of each piece, then the one past the padding after
+    # the last piece, which ends where the last window does, clipped to
+    # the chunk; filled in place, as are the bounds, because a dense
+    # chunk's window arrays set the peak memory of a run
+    last = heralds[-1] if heralds.size else -1
+    base = np.empty(firsts.size + 2, dtype=np.int64)
+    base[0] = reach
+    np.take(slots, firsts, out=base[1:-1])
+    base[-1] = slots[-1] + min(reach + 1, size - last) + reach
+    # firsts index the steps, which start one before the heralds
+    bounds = np.concatenate(([1], firsts, [heralds.size + 1]))
+    bounds -= 1
+    del firsts
+    lengths = np.diff(base)
+    lengths -= reach
+    return lengths, bounds, slots[1:]
 
 
-def _trials_at(positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Trial at each position of the pieces [starts, starts + lengths)
-    laid end to end."""
-    if positions.size == 0:
-        return positions
-    offsets = np.cumsum(lengths)
-    piece = np.searchsorted(offsets, positions, side="right")
-    return positions + (starts - offsets + lengths)[piece]
+def _slots_at(draws: np.ndarray, ends: np.ndarray, reach: int) -> np.ndarray:
+    """Slot of each draw in [0, ends[-1]), the trials of a group of
+    pieces laid end to end, in the group's layout: piece j holds draws
+    ends[j-1] .. ends[j] - 1 and follows j + 1 paddings of reach slots."""
+    return draws + reach * (np.searchsorted(ends, draws, side="right") + 1)
 
 
-def _fate_chunk(rng: np.random.Generator, source: SourceParams, starts, ends,
-                herald_trials, herald_mult, cum_probs, centers, sigmas):
-    """Category and click time of each photon in a run of window pieces.
+def _merge_heralds(real: np.ndarray, pairs: np.ndarray, false: np.ndarray):
+    """Sorted union of the real heralds and the false ones, with the
+    pairs each holds and its mask mark: 2 for a real herald, 1 for a
+    false herald in a trial no real one heralds.  A false herald holds
+    no pair of its own."""
+    if false.size == 0:
+        return real, pairs, np.full(real.size, 2, dtype=np.uint8)
+    false = np.sort(false)
+    # a false herald in a real herald's trial, or in another false
+    # herald's, adds nothing
+    false = false[np.diff(false, prepend=-1) != 0]
+    at = np.searchsorted(real, false)
+    new = np.searchsorted(real, false, side="right") == at
+    places = at[new] + np.arange(np.count_nonzero(new))
+    is_real = np.ones(real.size + places.size, dtype=bool)
+    is_real[places] = False
+    heralds = np.empty(is_real.size, dtype=np.int64)
+    heralds[places] = false[new]
+    heralds[is_real] = real
+    herald_pairs = np.zeros(is_real.size, dtype=np.int64)
+    herald_pairs[is_real] = pairs
+    return heralds, herald_pairs, 1 + is_real.view(np.uint8)
 
-    The herald trials come with the pairs drawn with their heralds; the
-    other trials of the pieces draw theirs here, given that none
-    heralded, and draws landing on a herald trial are dropped.  A click
-    may fall past its own trial period: the fold bins its delay as is.
+
+def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int, mask,
+                herald_pos, herald_pairs, cum_probs, centers, sigmas):
+    """Slot, category and click time of each click of the photons of a
+    group of window pieces.
+
+    The pieces hold ends[-1] trials (see _slots_at), and mask marks the
+    heralds in the group's layout (see _merge_heralds).  The heralds in
+    slots herald_pos come with the pairs drawn with them; the other
+    trials of the pieces draw theirs here, given that none heralded, and
+    draws landing on a real herald's trial are dropped.  A click may
+    fall past its own trial period: the fold bins its delay as is.
     """
-    lengths = ends - starts
-    local, mult = _unheralded_pairs(rng, source, int(lengths.sum()))
-    trials = _trials_at(local, starts, lengths)
-    # both are sorted: a trial is fresh when no herald trial equals it
-    fresh = (np.searchsorted(herald_trials, trials, side="left")
-             == np.searchsorted(herald_trials, trials, side="right"))
-    photon_trials = np.repeat(np.concatenate((herald_trials, trials[fresh])),
-                              np.concatenate((herald_mult, mult[fresh])))
-    u = rng.random(photon_trials.size)
-    cat = np.searchsorted(cum_probs, u, side="right")
-    clicked = cat < centers.size
-    cat = cat[clicked]
-    click_trials = photon_trials[clicked]
-    times = rng.normal(centers[cat], sigmas[cat])
+    local, mult = _unheralded_pairs(rng, source, int(ends[-1]))
+    pos = _slots_at(local, ends, reach)
+    fresh = mask[pos] != 2
+    photon_pos = np.repeat(np.concatenate((herald_pos, pos[fresh])),
+                           np.concatenate((herald_pairs, mult[fresh])))
+    u = rng.random(photon_pos.size)
+    # index arrays, not boolean masks: a photon clicks about as often as
+    # not, and boolean selection slows on such a mask
+    clicked = np.flatnonzero(u < cum_probs[-1])
+    u = u[clicked]
+    # the category is the number of cumulative probabilities at or
+    # below u, counted path by path rather than searched click by click
+    cat = np.zeros(u.size, dtype=np.int64)
+    for edge in cum_probs[:-1]:
+        cat += u >= edge
+    times = rng.standard_normal(cat.size) * sigmas[cat] + centers[cat]
     # Strictly positive: mass pinned at exactly 0.0 would sit on a
     # histogram bin boundary and fold inconsistently across periods.
     np.maximum(times, 1e-12, out=times)
-    return click_trials, times, cat
+    return photon_pos[clicked], times, cat
 
 
-def _fold(trials, times, cats, heralds, period: float, bin_width: float,
+def _fold(pos, times, cats, mask, period: float, bin_width: float,
           n_bins: int, max_lag: int, n_cats: int):
     """Flat (category, bin) counts of click-herald delays.
 
-    A click at in-trial time t in trial i pairs with every herald of the
-    trials i - max_lag .. i; a herald m trials back gives the delay
-    t + m * period, binned as floor(delay / bin_width), and out-of-range
-    bins are dropped.  heralds must be sorted and unique.  Returns
+    pos places each click in a layout of one slot per trial, at least
+    max_lag slots in, and mask is nonzero at the heralds' slots.  A
+    click at in-trial time t pairs with every herald up to max_lag
+    slots back; a herald m slots back gives the delay t + m * period,
+    binned as floor(delay / bin_width), and out-of-range bins are
+    dropped.  The caller lays the slots out so that those are exactly
+    the heralds up to max_lag trials back (see _windows).  Returns
     n_cats * n_bins int64 counts, category-major.
     """
-    lo = np.searchsorted(heralds, trials - max_lag, side="left")
-    n = np.searchsorted(heralds, trials, side="right") - lo
-    click = np.repeat(np.arange(trials.size), n)
-    # herald of each pair: its click's first herald plus its rank
-    herald = np.arange(click.size) - np.repeat(np.cumsum(n) - n - lo, n)
-    delay = (trials[click] - heralds[herald]) * period
-    delay += times[click]
+    lags = np.arange(max_lag + 1)
+    # entry m * n + i of the lag-major gather is click i against the
+    # slot m back, so the hits come lag by lag
+    hit = np.flatnonzero(mask[pos - lags[:, None]] != 0)
+    lag = np.repeat(lags, np.diff(np.searchsorted(hit, lags * pos.size), append=hit.size))
+    click = hit - lag * pos.size
+    delay = lag * period + times[click]
     delay /= bin_width
     # truncation is the floor wherever delay >= 0
     idx = delay.astype(np.int64)
@@ -544,20 +613,21 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
     return orders, np.cumsum(click_probs), np.array(centers), sigmas
 
 
-def _noise_clicks(rng: np.random.Generator, source: SourceParams, starts: np.ndarray,
-                  ends: np.ndarray, first_cat: int):
-    """Dark, then background, click parts inside the window pieces.
+def _noise_clicks(rng: np.random.Generator, source: SourceParams, ends: np.ndarray,
+                  reach: int, first_cat: int):
+    """Dark, then background, click parts inside a group of window
+    pieces, at their slots in its layout (see _slots_at).
 
-    No click outside them pairs with a herald.  Positions are sorted so
-    the fold looks up heralds in order, which is several times faster.
+    No click outside the pieces pairs with a herald.  Positions are
+    sorted before the times are drawn, because the stream layout pairs
+    each time with a sorted position.
     """
-    lengths = ends - starts
-    size = int(lengths.sum())
+    size = int(ends[-1])
     parts = []
     for k, rate in enumerate((source.dark_rate, source.background_rate)):
         n = rng.poisson(rate * source.trial_period * size)
         positions = np.sort(rng.integers(0, size, n))
-        parts.append((_trials_at(positions, starts, lengths),
+        parts.append((_slots_at(positions, ends, reach),
                       rng.random(n) * source.trial_period,
                       np.full(n, first_cat + k, dtype=np.int64)))
     return parts
@@ -588,38 +658,44 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
 
     Real heralds come from the chunk's pipeline stream; false heralds,
     then dark and background clicks, from its noise stream; pairs and
-    fates from its fates stream.  Returns the flat counts of its clicks
-    paired with its heralds, its herald count, its heralds in the last
-    reach trials, and its (trials, times, categories) clicks in the
-    first reach trials, which can pair with heralds of earlier chunks.
+    fates from its fates stream.  Each group of _PIECES window pieces is
+    laid out with reach empty slots before every piece, and one mask
+    over that layout marks its heralds for both the fates and the fold.
+    Returns the flat counts of its clicks paired with its heralds, its
+    herald count, its heralds in the last reach trials, and its
+    (positions, times, categories) clicks in the first reach trials,
+    which can pair with heralds of earlier chunks; a click's position
+    there is its trial plus reach.
     """
     period = source.trial_period
-    real, mult = _heralded_pairs(stream(seed, STREAM_PIPELINE, index), source, size)
+    real, pairs = _heralded_pairs(stream(seed, STREAM_PIPELINE, index), source, size)
     rng = stream(seed, STREAM_NOISE, index)
     false = rng.integers(0, size, rng.poisson(size * period * source.dark_rate))
-    heralds = real
-    if false.size:
-        heralds = np.sort(np.concatenate((real, false)))
-        heralds = heralds[np.diff(heralds, prepend=-1) != 0]
-    starts, ends = _windows(heralds, reach, size)
+    heralds, pairs, marks = _merge_heralds(real, pairs, false)
+    lengths, bounds, slots = _windows(heralds, reach, size)
+    # from here on the slots stand for the heralds
+    n_heralds, tail = heralds.size, heralds[heralds >= size - reach]
+    del real, heralds
     rng_fates = stream(seed, STREAM_FATES, index)
     counts = np.zeros((centers.size + 2) * n_bins, dtype=np.int64)
-    for a in range(0, starts.size, _PIECES):
-        s, e = starts[a:a + _PIECES], ends[a:a + _PIECES]
-        lo, hi = np.searchsorted(real, (s[0], e[-1]))
-        parts = [_fate_chunk(rng_fates, source, s, e, real[lo:hi], mult[lo:hi],
+    for a in range(0, lengths.size, _PIECES):
+        ends = np.cumsum(lengths[a:a + _PIECES])
+        lo, hi = bounds[a], bounds[min(a + _PIECES, lengths.size)]
+        # the group's layout starts reach slots before its first piece
+        herald_pos = slots[lo:hi] - (slots[lo] - reach if a else 0)
+        mask = np.zeros(ends[-1] + reach * ends.size, dtype=np.uint8)
+        mask[herald_pos] = marks[lo:hi]
+        parts = [_fate_chunk(rng_fates, source, ends, reach, mask, herald_pos, pairs[lo:hi],
                              cum_probs, centers, sigmas)]
-        parts += _noise_clicks(rng, source, s, e, centers.size)
-        trials, times, cats = map(np.concatenate, zip(*parts))
-        # a herald shares its piece with every click it pairs with
-        lo, hi = np.searchsorted(heralds, (s[0], e[-1]))
-        counts += _fold(trials, times, cats, heralds[lo:hi], period, bin_width, n_bins,
+        parts += _noise_clicks(rng, source, ends, reach, centers.size)
+        pos, times, cats = map(np.concatenate, zip(*parts))
+        counts += _fold(pos, times, cats, mask, period, bin_width, n_bins,
                         reach, centers.size + 2)
         if a == 0:
-            # the first piece holds the first reach trials
-            first = trials < reach
-            head = trials[first], times[first], cats[first]
-    return (counts, heralds.size, heralds[heralds >= size - reach], *head)
+            # the first piece starts at trial 0 and slot reach
+            first = pos < 2 * reach
+            head = pos[first], times[first], cats[first]
+    return (counts, n_heralds, tail, *head)
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
@@ -660,13 +736,17 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     # the heralds of the noise_periods trials before the chunk, in its
     # trial numbers; chunks may be shorter than noise_periods
     recent = np.empty(0, dtype=np.int64)
+    mask = np.empty(2 * noise_periods, dtype=np.uint8)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         parts = (part for lo in range(0, n_chunks, _POOL_SLICE)
                  for part in run(chunk, range(lo, min(n_chunks, lo + _POOL_SLICE))))
         for c, (counts, n, tail, *head) in enumerate(parts):
             folded += counts
-            folded += _fold(*head, recent, period, bin_width, n_bins, noise_periods, n_cats)
+            # the chunk's first clicks sit at their trial plus noise_periods
+            mask[:] = 0
+            mask[recent + noise_periods] = 1
+            folded += _fold(*head, mask, period, bin_width, n_bins, noise_periods, n_cats)
             n_heralds += n
             size = min(length, duration_trials - c * length)
             recent = np.concatenate((recent[recent >= size - noise_periods], tail)) - size
@@ -675,16 +755,10 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     per_cat = [int(n) for n in folded.sum(axis=1)]
     total = folded.sum(axis=0)
 
-    if memory is None:
-        signal_window = (0.0, TRANSMITTED_WINDOW)
-    else:
-        half = RETRIEVED_WINDOW / 2.0
-        signal_window = (memory.storage_time - half, memory.storage_time + half)
-
     return CoincidenceHistogram(
         bin_width=bin_width,
         counts=total,
-        signal_window=signal_window,
+        signal_window=signal_window(memory),
         period=period,
         noise_periods=noise_periods,
         n_heralds=n_heralds,

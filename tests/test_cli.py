@@ -121,6 +121,19 @@ class TestValidate:
             assert key in err
         assert not out.exists()
 
+    def test_a_period_the_latest_echo_window_reaches_exits_2(self, tmp_path, capsys):
+        # the window of the 250 ns echo closes at 255 ns, past a 200 ns
+        # period, where the run would pair the echo with its own herald only
+        path = write_config(tmp_path, {"scenario": "g2_vs_storage", "defaults": "paper",
+                                       "source": {"trial_period": 2e-7}})
+        out = tmp_path / "out"
+        for argv in (["validate"], ["run", "g2_vs_storage", "--out", str(out)]):
+            assert main(argv + ["--config", path]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert "source.trial_period" in err and "250 ns point" in err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # run

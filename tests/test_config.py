@@ -12,6 +12,7 @@ from lgi_echo.config import (
     OUTPUT_FORMATS,
     PAPER_COUNTS_PER_POINT,
     SCENARIOS,
+    STORAGE_TIMES,
     OutputConfig,
     PhysicsConfig,
     ScenarioConfig,
@@ -22,7 +23,7 @@ from lgi_echo.config import (
     parse_config,
 )
 from lgi_echo.errors import ConfigurationError
-from lgi_echo.photons import MemoryConfig, SourceParams, paper_source
+from lgi_echo.photons import RETRIEVED_WINDOW, MemoryConfig, SourceParams, paper_source
 from lgi_echo.quantum import Channel
 
 
@@ -217,6 +218,18 @@ class TestPhysicsConfig:
         doc = {"defaults": "paper", "physics": physics}
         for scenario in set(SCENARIOS) - {"g2_vs_storage", "echo_trace"}:
             parse(doc, scenario=scenario)
+
+    def test_g2_vs_storage_rejects_exactly_a_period_its_latest_window_reaches(self):
+        # the latest sweep point is 250 ns; other scenarios run no sweep
+        end = STORAGE_TIMES[-1] + RETRIEVED_WINDOW / 2.0
+        for period in (2e-7, end):
+            with pytest.raises(ConfigurationError, match="source.trial_period"):
+                parse({"defaults": "paper", "source": {"trial_period": period}},
+                      scenario="g2_vs_storage")
+        parse({"defaults": "paper", "source": {"trial_period": end * (1.0 + 1e-12)}},
+              scenario="g2_vs_storage")
+        for scenario in set(SCENARIOS) - {"g2_vs_storage"}:
+            parse({"defaults": "paper", "source": {"trial_period": 2e-7}}, scenario=scenario)
 
     @pytest.mark.parametrize("bandwidth", [1e7, 15999999.0, 16e6, 16000001.0, 2.4e7])
     def test_echo_trace_rejects_exactly_the_single_tooth_comb(self, bandwidth):

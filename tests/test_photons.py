@@ -532,19 +532,34 @@ class TestHeraldFirst:
     @settings(max_examples=200, deadline=None)
     @given(size=st.integers(1, 300), reach=st.integers(1, 12), data=st.data())
     def test_windows_are_the_herald_neighbourhoods(self, size, reach, data):
-        heralds = sorted(data.draw(st.sets(st.integers(0, size - 1), max_size=40)))
-        starts, ends = _windows(np.array(heralds, dtype=np.int64), reach, size)
+        heralds = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), max_size=40))),
+                           dtype=np.int64)
+        lengths, bounds, slots = _windows(heralds, reach, size)
+        # piece 0 starts at trial 0 and slot reach, every other one at
+        # its first herald and that herald's slot
+        starts = np.concatenate(([0], heralds[bounds[1:-1]]))
+        base = np.concatenate(([reach], slots[bounds[1:-1]]))
+        assert bounds[0] == 0 and bounds[-1] == heralds.size
+        assert np.all(np.diff(bounds[1:]) > 0) and np.all(lengths > 0)
         # the first reach trials can pair with heralds of earlier chunks
         dense = np.zeros(size, dtype=bool)
         dense[:reach] = True
         for h in heralds:
             dense[h:h + reach + 1] = True
         covered = np.zeros(size, dtype=int)
-        for a, b in zip(starts, ends):
-            assert a < b
-            covered[a:b] += 1
+        for j, (a, n) in enumerate(zip(starts, lengths)):
+            covered[a:a + n] += 1
+            # each herald sits in its piece, one slot per trial
+            mine = heralds[bounds[j]:bounds[j + 1]]
+            assert np.all((a <= mine) & (mine < a + n))
+            assert np.array_equal(slots[bounds[j]:bounds[j + 1]], base[j] + mine - a)
         assert np.array_equal(covered, dense)
-        assert np.all(np.diff(starts) > 0)
+        # reach empty slots before every piece
+        assert np.array_equal(base, np.cumsum(lengths + reach) - lengths)
+        # a group's draws land on the slots of its pieces
+        ends = np.cumsum(lengths)
+        on_pieces = np.concatenate([np.arange(b, b + n) for b, n in zip(base, lengths)])
+        assert np.array_equal(photons._slots_at(np.arange(ends[-1]), ends, reach), on_pieces)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32), statistics=st.sampled_from(["bernoulli", "thermal"]),
@@ -668,57 +683,169 @@ _PINNED_RUN = {
 }
 
 
-def test_stream_layout_pins_the_simulated_histogram():
-    hist = simulate_run(_noisy_source("thermal"), paper_memory(), None, 300_000, seed=1)
+def _digest(hist):
     blob = hist.counts.astype("<i8").tobytes() + json.dumps(
         [hist.n_heralds, hist.category_counts]).encode()
-    assert hashlib.sha256(blob).hexdigest() == _PINNED_RUN[STREAM_LAYOUT]
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_stream_layout_pins_the_simulated_histogram():
+    hist = simulate_run(_noisy_source("thermal"), paper_memory(), None, 300_000, seed=1)
+    assert _digest(hist) == _PINNED_RUN[STREAM_LAYOUT]
+
+
+def _run_at_chunk_edges():
+    # 17-trial chunks on two workers: herald windows cross chunk edges
+    src = SourceParams(pair_probability=0.3, heralding_efficiency=0.5, dark_rate=2e4,
+                       background_rate=5e4, statistics="thermal")
+    with mock.patch.object(photons, "_chunk_trials", return_value=17):
+        return simulate_run(src, paper_memory(), None, 6_000, seed=5, workers=2)
+
+
+# sha256 of runs outside the paper preset, per STREAM_LAYOUT, as
+# _PINNED_RUN: they pin the fates, false heralds, chunk edges and fold
+# that the preset run exercises only lightly.
+_PINNED_RUNS = {
+    8: {
+        "dense thermal": "2ab96fe5df38a926ae08318c382f38f151cf1fe7c0ac67de3658640c05c6b341",
+        "noisy bernoulli, analyzer": (
+            "cd1ceed846ad18b1dfc17a83285b905d314097940b106f2fd32595405014a3c9"),
+        "paper point, 250 ns": "c6e93b6773780e0b6f3a84d160b0f7e7e14c7b12c40c3dac08c9f647169b8ef4",
+        "17-trial chunks": "49f8921f9e858884aaf89cf49867ab6432982d960ec8ea2c8d554c568b3a38c3",
+    },
+}
+
+_PINNED_CASES = {
+    # 5e6 trials cross one 2^22-trial chunk edge
+    "dense thermal": lambda: simulate_run(
+        SourceParams(pair_probability=0.1, statistics="thermal"), paper_memory(), None,
+        5_000_000, seed=7),
+    "noisy bernoulli, analyzer": lambda: simulate_run(
+        _noisy_source("bernoulli"), paper_memory(), DensityMatrix.from_bloch(0.0, 1.0, 0.0),
+        400_000, seed=2),
+    "paper point, 250 ns": lambda: simulate_run(
+        paper_source(), paper_memory(250 * NS), None, 20_000_000, seed=9),
+    "17-trial chunks": _run_at_chunk_edges,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CASES))
+def test_stream_layout_pins_runs_outside_the_preset(name):
+    assert _digest(_PINNED_CASES[name]()) == _PINNED_RUNS[STREAM_LAYOUT][name]
 
 
 _EDGE_TIMES = st.sampled_from([1e-12, PERIOD * (1.0 - 1e-12), PERIOD, 2.5 * PERIOD])
 
 
 @st.composite
-def _fold_case(draw):
-    n_trials = draw(st.integers(1, 40))
+def _fold_piece(draw):
+    """Heralds and (trial, time, category) clicks of one piece of trials."""
+    n_trials = draw(st.integers(1, 30))
     trial = st.integers(0, n_trials - 1)
     heralds = sorted(draw(st.sets(trial, max_size=n_trials)))
-    # click times run past one period: a late echo keeps its delay
+    # clicks at a piece's first trial look back into the padding; click
+    # times run past one period: a late echo keeps its delay
     clicks = draw(st.lists(st.tuples(
-        trial,
+        st.one_of(st.just(0), trial),
         st.one_of(_EDGE_TIMES, st.floats(1e-12, 3.0 * PERIOD)),
-        st.integers(0, 2)), max_size=60))
-    arrays = (np.array([c[0] for c in clicks], dtype=np.int64),
-              np.array([c[1] for c in clicks], dtype=np.float64),
-              np.array([c[2] for c in clicks], dtype=np.int64))
+        st.integers(0, 2)), max_size=40))
+    return n_trials, heralds, clicks
+
+
+@st.composite
+def _fold_case(draw):
+    pieces = draw(st.lists(_fold_piece(), min_size=1, max_size=4))
     max_lag = draw(st.integers(1, 12))
     bin_width = draw(st.sampled_from([BIN, 1e-9, 7e-9]))
-    return n_trials, heralds, arrays, max_lag, bin_width
+    # either mark, real or false, is a herald to the fold
+    marks = draw(st.lists(st.sampled_from([1, 2]), min_size=sum(len(p[1]) for p in pieces),
+                          max_size=sum(len(p[1]) for p in pieces)))
+    return pieces, max_lag, bin_width, marks
+
+
+def _clicks(clicks):
+    return (np.array([c[0] for c in clicks], dtype=np.int64),
+            np.array([c[1] for c in clicks], dtype=np.float64),
+            np.array([c[2] for c in clicks], dtype=np.int64))
 
 
 class TestHeraldFold:
     @settings(max_examples=300, deadline=None)
     @given(_fold_case())
     def test_matches_dense_oracle(self, case):
-        n_trials, heralds, (trials, times, cats), max_lag, bin_width = case
+        # the pieces laid end to end, max_lag empty slots before each, as
+        # _windows lays them out; the oracle folds each piece on its own
+        pieces, max_lag, bin_width, marks = case
         n_bins = int(round((max_lag + 1) * PERIOD / bin_width))
-        got = _fold(trials, times, cats, np.array(heralds, dtype=np.int64),
-                    PERIOD, bin_width, n_bins, max_lag, 3).reshape(3, n_bins)
-        mask = np.zeros(n_trials, dtype=np.uint8)
-        mask[heralds] = 1
-        for c in range(3):
-            sel = cats == c
-            oracle = fold_coincidences(trials[sel], times[sel], mask, PERIOD,
-                                       bin_width, n_bins, max_lag)
-            assert np.array_equal(got[c], oracle)
+        sizes = np.array([n for n, _, _ in pieces])
+        base = np.cumsum(sizes + max_lag) - sizes
+        mask = np.zeros(base[-1] + sizes[-1], dtype=np.uint8)
+        mask[np.concatenate([b + np.array(h, dtype=np.int64)
+                             for b, (_, h, _) in zip(base, pieces)])] = marks
+        trials, times, cats = _clicks([(b + t, time, cat) for b, (_, _, clicks) in
+                                       zip(base, pieces) for t, time, cat in clicks])
+        got = _fold(trials, times, cats, mask, PERIOD, bin_width, n_bins, max_lag,
+                    3).reshape(3, n_bins)
+        want = np.zeros((3, n_bins), dtype=np.int64)
+        for n_trials, heralds, clicks in pieces:
+            dense = np.zeros(n_trials, dtype=np.uint8)
+            dense[heralds] = 1
+            trials, times, cats = _clicks(clicks)
+            for c in range(3):
+                sel = cats == c
+                want[c] += fold_coincidences(trials[sel], times[sel], dense, PERIOD,
+                                             bin_width, n_bins, max_lag)
+        assert np.array_equal(got, want)
 
     def test_empty_inputs(self):
         none = np.empty(0, dtype=np.int64)
         one = np.array([3], dtype=np.int64)
-        for trials, heralds in [(none, one), (none, none), (one, none)]:
-            got = _fold(trials, np.full(trials.size, 1e-9), trials * 0, heralds,
+        for slots, heralds in [(none, one), (none, none), (one, none)]:
+            mask = np.zeros(4, dtype=np.uint8)
+            mask[heralds] = 2
+            got = _fold(slots, np.full(slots.size, 1e-9), slots * 0, mask,
                         PERIOD, BIN, 400, 1, 2)
             assert got.shape == (800,) and got.sum() == 0
+
+    def test_fresh_trials_exclude_only_real_heralds(self):
+        # one piece of 6 trials in slots 2-7: a real herald in trial 1
+        # (slot 3) with 2 pairs, a false herald alone in trial 3 (slot 5)
+        reach, ends = 2, np.array([6])
+        mask = np.zeros(8, dtype=np.uint8)
+        mask[[3, 5]] = [2, 1]
+        herald_pos, herald_pairs = np.array([3, 5]), np.array([2, 0])
+        # draws given no herald land on both herald trials and on trial 4
+        drawn = np.array([1, 3, 4]), np.array([5, 7, 1])
+        with mock.patch.object(photons, "_unheralded_pairs", return_value=drawn):
+            # every photon clicks, in the transmitted category
+            pos, times, cats = photons._fate_chunk(
+                np.random.default_rng(0), SourceParams(pair_probability=0.5), ends, reach,
+                mask, herald_pos, herald_pairs, np.array([1.0]), np.array([0.0]),
+                np.array([1e-9]))
+        # the real herald's trial keeps its own 2 pairs only; the false
+        # herald's trial holds the 7 drawn for it, like any other trial
+        assert pos.tolist() == [3, 3] + [5] * 7 + [6]
+        assert np.all(cats == 0) and np.all(times > 0.0)
+
+    @pytest.mark.parametrize("real, false", [
+        ([2, 5, 9], [5, 0, 9, 7, 7]),
+        ([], [4, 4, 1]),
+        ([3, 8], []),
+        ([0, 1, 2], [0, 1, 2, 2]),
+    ])
+    def test_false_heralds_merge_into_real_ones(self, real, false):
+        real = np.array(real, dtype=np.int64)
+        pairs = np.arange(1, real.size + 1, dtype=np.int64)
+        heralds, herald_pairs, marks = photons._merge_heralds(
+            real, pairs, np.array(false, dtype=np.int64))
+        # a trial heralds once; a false herald in a real herald's trial
+        # leaves it real, with its pairs
+        union = sorted(set(real.tolist()) | set(false))
+        assert heralds.tolist() == union
+        for h, n, mark in zip(heralds, herald_pairs, marks):
+            is_real = h in real
+            assert mark == (2 if is_real else 1)
+            assert n == (pairs[real.tolist().index(h)] if is_real else 0)
 
     @pytest.mark.parametrize("workers, most_held", [(1, 1), (2, 3)])
     def test_clicks_are_folded_as_chunks_are_fated(self, workers, most_held):
