@@ -75,6 +75,12 @@ _POOL_SLICE = 64
 TRANSMITTED_WINDOW = 2e-9
 RETRIEVED_WINDOW = 10e-9
 
+# Width of a click-herald delay histogram bin.
+BIN_WIDTH = 2e-9
+
+# FWHM of a signal photon's wave packet, unless a memory sets another.
+PHOTON_FWHM = 5e-9
+
 # the (H+V)/sqrt(2) input polarization of a signal photon
 _DIAGONAL = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
 
@@ -145,7 +151,7 @@ class MemoryConfig:
     comb: CombSpec
     excitation: ExcitationState
     storage_time: float
-    photon_fwhm: float = 5e-9
+    photon_fwhm: float = PHOTON_FWHM
     decay_time: float = 0.0
     retrieval_prefactor: float = 0.15
 
@@ -185,28 +191,29 @@ def paper_source() -> SourceParams:
 
 
 def paper_memory(storage_time: float = 125e-9) -> MemoryConfig:
-    """Memory at the published working point for a given echo time.
+    """Memory at the published working point, reprogrammed by
+    storage_memories so its first echo order lands at storage_time.
 
-    The grating period is programmed so the first echo order lands at
-    storage_time (finesse held fixed).  The H comb sits 2.5 MHz below
-    the photon carrier and the V comb 2.5 MHz above; no phase plate.
+    At 125 ns the grating period is 8 MHz with 2 MHz teeth.  The H comb
+    sits 2.5 MHz below the photon carrier and the V comb 2.5 MHz above;
+    no phase plate.
     """
     if storage_time <= 0.0:
         raise ConfigurationError("storage_time must be positive")
-    grating, detuning = 1.0 / storage_time, 5e6
-    return MemoryConfig(
+    memory = MemoryConfig(
         comb=CombSpec(
-            periodicity_delta=grating,
-            tooth_fwhm=grating / 4.0,
+            periodicity_delta=8e6,
+            tooth_fwhm=2e6,
             bandwidth=100e6,
             optical_depth=8.0,
             background_depth=0.05,
-            center_offset=-detuning / 2.0,
+            center_offset=-2.5e6,
         ),
-        excitation=ExcitationState(detuning=detuning),
-        storage_time=storage_time,
+        excitation=ExcitationState(detuning=5e6),
+        storage_time=125e-9,
         decay_time=150e-9,
     )
+    return storage_memories(memory, (storage_time,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +327,6 @@ def _comb_transmission(spec: CombSpec) -> float:
             depth += np.exp(-0.5 * ((omega - m * delta) / sig) ** 2)
     trans = np.exp(-spec.optical_depth * depth).mean()
     return float(trans * math.exp(-spec.background_depth))
-
-
-def _echo_orders(memory: MemoryConfig, period: float) -> Tuple[int, ...]:
-    delta = memory.comb.periodicity_delta
-    highest = min(3, int(math.floor(period * delta)))
-    highest = max(highest, memory.signal_order)
-    return tuple(range(1, highest + 1))
-
-
-def _echo_efficiencies(memory: MemoryConfig, orders) -> Tuple[float, ...]:
-    delta = memory.comb.periodicity_delta
-    effs = []
-    for k in orders:
-        t_k = k / delta
-        eff = echo_efficiency(memory.comb, t_k, prefactor=memory.retrieval_prefactor)
-        if memory.decay_time > 0.0:
-            eff *= math.exp(-t_k / memory.decay_time)
-        effs.append(eff)
-    return tuple(effs)
-
-
-def _with_extinction(p: float, ratio: float) -> float:
-    # crossed-polarizer leakage: blocked light passes at 1/(1+ratio)
-    eps = 1.0 / (1.0 + ratio)
-    return (1.0 - eps) * p + eps * (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +470,9 @@ def _merge_heralds(real: np.ndarray, pairs: np.ndarray, false: np.ndarray):
     # herald's, adds nothing
     false = false[np.diff(false, prepend=-1) != 0]
     at = np.searchsorted(real, false)
-    new = np.searchsorted(real, false, side="right") == at
+    taken = at < real.size
+    taken[taken] = real[at[taken]] == false[taken]
+    new = ~taken
     places = at[new] + np.arange(np.count_nonzero(new))
     is_real = np.ones(real.size + places.size, dtype=bool)
     is_real[places] = False
@@ -563,54 +547,52 @@ def _fold(pos, times, cats, mask, period: float, bin_width: float,
 
 def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
                 analyzer: Optional[DensityMatrix]):
-    """Echo orders and, per click path (transmitted, then each order),
-    the cumulative click probability, mean delay and delay spread of a
-    signal photon."""
-    period = source.trial_period
-    eta_chain = source.transmission_signal * source.detector_efficiency
+    """The click categories of a run and, per click path, the cumulative
+    click probability, mean delay and delay spread of a signal photon.
+
+    A photon leaves by one path: transmitted, at delay 0 and still
+    diagonal, with the comb's transmission (1 without a memory), or
+    re-emitted at echo order k, at delay k/Delta with the echo
+    efficiency and the polarization the excitation stored for k/Delta.
+    The orders run from 1 to the highest that fits in a trial period, at
+    most 3 but at least the signal order.  Every path then passes the
+    analyzer, which leaks blocked light at 1/(1 + extinction_ratio), and
+    the transmission chain.  The labels name the paths in order, then
+    the dark and background clicks.
+    """
     if memory is None:
-        transmission = 1.0
-        orders = ()
-        effs = ()
-        centers = [0.0]
+        paths = [("transmitted", 1.0, 0.0, _DIAGONAL)]
+        sigmas = [PHOTON_FWHM / _SIGMA_TO_FWHM]
     else:
-        transmission = _comb_transmission(memory.comb)
-        orders = _echo_orders(memory, period)
-        effs = _echo_efficiencies(memory, orders)
-        total = transmission + sum(effs)
-        if total > 1.0 + 1e-9:
-            raise ConfigurationError(
-                f"transmitted plus retrieved probability {total:.4g} exceeds 1"
-            )
+        paths = [("transmitted", _comb_transmission(memory.comb), 0.0, _DIAGONAL)]
         delta = memory.comb.periodicity_delta
-        centers = [0.0] + [k / delta for k in orders]
-
-    if analyzer is None:
-        p_polar = [1.0] * (1 + len(orders))
-    else:
-        if memory is None:
-            p_polar = [_with_extinction(1.0, source.extinction_ratio)]
-        else:
-            # echo k re-emits the excitation stored for k/delta
-            probs = [born_probability(_DIAGONAL, analyzer)] + [
-                born_probability(state_at(memory.excitation, k / delta), analyzer)
-                for k in orders]
-            p_polar = [_with_extinction(p, source.extinction_ratio) for p in probs]
-
-    path_probs = [transmission] + list(effs)
-    click_probs = np.array(
-        [pp * eta_chain * pol for pp, pol in zip(path_probs, p_polar)]
-    )
-
-    if memory is None:
-        sigma_in = 5e-9 / _SIGMA_TO_FWHM
-        sigmas = np.array([sigma_in])
-    else:
+        highest = max(min(3, int(math.floor(source.trial_period * delta))), memory.signal_order)
+        for k in range(1, highest + 1):
+            t_k = k / delta
+            eff = echo_efficiency(memory.comb, t_k, prefactor=memory.retrieval_prefactor)
+            if memory.decay_time > 0.0:
+                eff *= math.exp(-t_k / memory.decay_time)
+            paths.append((f"echo{k}", eff, t_k, state_at(memory.excitation, t_k)))
         sigma_in = memory.photon_fwhm / _SIGMA_TO_FWHM
         echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb.bandwidth
-        sigma_echo = math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)
-        sigmas = np.array([sigma_in] + [sigma_echo] * len(orders))
-    return orders, np.cumsum(click_probs), np.array(centers), sigmas
+        sigmas = [sigma_in] + [math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)] * highest
+    labels, probs, delays, polarizations = zip(*paths)
+    if sum(probs) > 1.0 + 1e-9:
+        raise ConfigurationError(
+            f"transmitted plus retrieved probability {sum(probs):.4g} exceeds 1"
+        )
+
+    eta_chain = source.transmission_signal * source.detector_efficiency
+    leak = 1.0 / (1.0 + source.extinction_ratio)
+    click_probs = []
+    for prob, polarization in zip(probs, polarizations):
+        passed = 1.0
+        if analyzer is not None:
+            born = born_probability(polarization, analyzer)
+            passed = (1.0 - leak) * born + leak * (1.0 - born)
+        click_probs.append(prob * eta_chain * passed)
+    return (labels + ("dark", "background"), np.cumsum(click_probs), np.array(delays),
+            np.array(sigmas))
 
 
 def _noise_clicks(rng: np.random.Generator, source: SourceParams, ends: np.ndarray,
@@ -653,7 +635,7 @@ def _chunk_trials(source: SourceParams, noise_periods: int) -> int:
 
 
 def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reach: int,
-                    cum_probs, centers, sigmas, bin_width: float, n_bins: int):
+                    labels, cum_probs, centers, sigmas, n_bins: int):
     """All the work of one chunk of size trials, in its own trial numbers.
 
     Real heralds come from the chunk's pipeline stream; false heralds,
@@ -677,7 +659,7 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
     n_heralds, tail = heralds.size, heralds[heralds >= size - reach]
     del real, heralds
     rng_fates = stream(seed, STREAM_FATES, index)
-    counts = np.zeros((centers.size + 2) * n_bins, dtype=np.int64)
+    counts = np.zeros(len(labels) * n_bins, dtype=np.int64)
     for a in range(0, lengths.size, _PIECES):
         ends = np.cumsum(lengths[a:a + _PIECES])
         lo, hi = bounds[a], bounds[min(a + _PIECES, lengths.size)]
@@ -687,10 +669,10 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
         mask[herald_pos] = marks[lo:hi]
         parts = [_fate_chunk(rng_fates, source, ends, reach, mask, herald_pos, pairs[lo:hi],
                              cum_probs, centers, sigmas)]
-        parts += _noise_clicks(rng, source, ends, reach, centers.size)
+        parts += _noise_clicks(rng, source, ends, reach, labels.index("dark"))
         pos, times, cats = map(np.concatenate, zip(*parts))
-        counts += _fold(pos, times, cats, mask, period, bin_width, n_bins,
-                        reach, centers.size + 2)
+        counts += _fold(pos, times, cats, mask, period, BIN_WIDTH, n_bins,
+                        reach, len(labels))
         if a == 0:
             # the first piece starts at trial 0 and slot reach
             first = pos < 2 * reach
@@ -700,13 +682,14 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
                  analyzer: Optional[DensityMatrix], duration_trials: int,
-                 seed: int, bin_width: float = 2e-9, noise_periods: int = 8,
-                 workers: int = 1, run_index: int = 0) -> CoincidenceHistogram:
+                 seed: int, noise_periods: int = 8, workers: int = 1,
+                 run_index: int = 0) -> CoincidenceHistogram:
     """End-to-end counting simulation of one configuration.
 
     memory=None sends every signal photon down the transmitted path;
     analyzer=None removes the polarizer.  The histogram covers
-    (noise_periods + 1) trial periods of click-herald delay.
+    (noise_periods + 1) trial periods of click-herald delay in bins of
+    BIN_WIDTH.
     """
     if duration_trials < 1:
         raise DomainError("duration_trials must be >= 1")
@@ -722,14 +705,14 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     length = min(_chunk_trials(source, noise_periods), duration_trials)
     n_chunks = -(-duration_trials // length)
     period = source.trial_period
-    orders, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
-    n_cats = len(orders) + 3
-    n_bins = int(round((noise_periods + 1) * period / bin_width))
+    labels, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
+    n_cats = len(labels)
+    n_bins = int(round((noise_periods + 1) * period / BIN_WIDTH))
 
     def chunk(c):
         return _simulate_chunk(source, seed, base_index | c,
                                min(length, duration_trials - c * length), noise_periods,
-                               cum_probs, centers, sigmas, bin_width, n_bins)
+                               labels, cum_probs, centers, sigmas, n_bins)
 
     folded = np.zeros(n_cats * n_bins, dtype=np.int64)
     n_heralds = 0
@@ -746,17 +729,16 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
             # the chunk's first clicks sit at their trial plus noise_periods
             mask[:] = 0
             mask[recent + noise_periods] = 1
-            folded += _fold(*head, mask, period, bin_width, n_bins, noise_periods, n_cats)
+            folded += _fold(*head, mask, period, BIN_WIDTH, n_bins, noise_periods, n_cats)
             n_heralds += n
             size = min(length, duration_trials - c * length)
             recent = np.concatenate((recent[recent >= size - noise_periods], tail)) - size
     folded = folded.reshape(n_cats, n_bins)
-    labels = ["transmitted"] + [f"echo{k}" for k in orders] + ["dark", "background"]
     per_cat = [int(n) for n in folded.sum(axis=1)]
     total = folded.sum(axis=0)
 
     return CoincidenceHistogram(
-        bin_width=bin_width,
+        bin_width=BIN_WIDTH,
         counts=total,
         signal_window=signal_window(memory),
         period=period,
@@ -839,10 +821,10 @@ def storage_memories(memory: MemoryConfig,
 
 def storage_histograms(source: SourceParams, memory: MemoryConfig,
                        storage_times: Sequence[float], seed: int,
-                       duration_trials: int, analyzer: Optional[DensityMatrix] = None,
-                       bin_width: float = 2e-9, noise_periods: int = 8,
+                       duration_trials: int,
                        workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
-    """One coincidence histogram per storage time of storage_memories.
+    """One coincidence histogram per storage time of storage_memories,
+    without an analyzer.
 
     Run i uses run_index i.  With several workers the runs go side by
     side, up to one per worker, and each splits its chunks over its
@@ -852,11 +834,8 @@ def storage_histograms(source: SourceParams, memory: MemoryConfig,
     side_by_side = max(1, min(workers, len(memories)))
 
     def run(i):
-        return simulate_run(
-            source, memories[i], analyzer, duration_trials, seed,
-            bin_width=bin_width, noise_periods=noise_periods,
-            workers=workers // side_by_side, run_index=i,
-        )
+        return simulate_run(source, memories[i], None, duration_trials, seed,
+                            workers=workers // side_by_side, run_index=i)
 
     with (ThreadPoolExecutor(max_workers=side_by_side) if side_by_side > 1
           else nullcontext()) as pool:

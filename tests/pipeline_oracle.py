@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from fold_oracle import fold_coincidences
-from lgi_echo.photons import _fate_table
+from lgi_echo.photons import BIN_WIDTH, _fate_table
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,11 @@ class OracleRun:
 
 
 def simulate_per_trial(source, memory, analyzer, n_trials, seed,
-                       bin_width=2e-9, noise_periods=8) -> OracleRun:
+                       noise_periods=8) -> OracleRun:
     rng = np.random.default_rng(seed)
     period = source.trial_period
     p, eta = source.pair_probability, source.heralding_efficiency
-    orders, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
+    labels, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
 
     if source.statistics == "bernoulli":
         pairs = (rng.random(n_trials) < p).astype(np.int64)
@@ -55,13 +55,12 @@ def simulate_per_trial(source, memory, analyzer, n_trials, seed,
         n = rng.poisson(rate * period, n_trials)
         trials.append(np.repeat(np.arange(n_trials), n))
         times.append(rng.random(trials[-1].size) * period)
-        cats.append(np.full(trials[-1].size, centers.size + k))
+        cats.append(np.full(trials[-1].size, labels.index("dark") + k))
     trials, times, cats = (np.concatenate(a) for a in (trials, times, cats))
 
-    n_bins = int(round((noise_periods + 1) * period / bin_width))
-    labels = ["transmitted"] + [f"echo{k}" for k in orders] + ["dark", "background"]
+    n_bins = int(round((noise_periods + 1) * period / BIN_WIDTH))
     folded = [fold_coincidences(trials[cats == c], times[cats == c], herald,
-                                period, bin_width, n_bins, noise_periods)
+                                period, BIN_WIDTH, n_bins, noise_periods)
               for c in range(len(labels))]
     return OracleRun(
         n_heralds=int(herald.sum()),

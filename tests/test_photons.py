@@ -24,7 +24,7 @@ from lgi_echo.errors import (
     InvariantViolation,
     UndefinedEstimateError,
 )
-from lgi_echo.config import parse_config
+from lgi_echo.config import STORAGE_TIMES, PhysicsConfig, parse_config
 from lgi_echo.photons import (
     _CHUNK,
     _chunk_trials,
@@ -47,9 +47,10 @@ from lgi_echo.photons import (
     paper_source,
     simulate_run,
     storage_histograms,
+    storage_memories,
 )
 from lgi_echo.lgi import ExcitationState
-from lgi_echo.quantum import DensityMatrix
+from lgi_echo.quantum import DensityMatrix, born_probability
 
 NS = 1e-9
 PERIOD = 400e-9
@@ -124,6 +125,15 @@ class TestMemoryConfig:
         assert mem.signal_order == 1
         assert mem.comb.periodicity_delta == pytest.approx(8e6)
         assert mem.comb.center_offset == pytest.approx(-mem.excitation.detuning / 2)
+
+    def test_paper_working_point_is_written_once(self):
+        # the configuration preset and paper_memory are one memory, and
+        # paper_memory(t) is the preset reprogrammed as the sweep does it
+        memory = PhysicsConfig().memory()
+        assert memory == paper_memory()
+        for t in STORAGE_TIMES:
+            if t > 0.0:
+                assert paper_memory(t) == storage_memories(memory, (t,))[0]
 
     def test_storage_time_off_the_comb_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -252,6 +262,15 @@ class TestHeraldedBound:
 # simulated runs
 # ---------------------------------------------------------------------------
 
+def _ideal_memory():
+    """Patch in a memory that passes nothing and retrieves everything in
+    its first echo; no configuration describes one."""
+    return mock.patch.multiple(
+        photons, _comb_transmission=lambda comb: 0.0,
+        echo_efficiency=lambda comb, t, prefactor: float(
+            round(t * comb.periodicity_delta) == 1))
+
+
 class TestSimulateRun:
     def test_silent_source_gives_empty_histogram(self):
         src = SourceParams(pair_probability=0.0)
@@ -269,12 +288,11 @@ class TestSimulateRun:
 
     def test_ideal_memory_puts_every_click_in_the_echo(self):
         # an ideal memory passes nothing and retrieves everything in the
-        # first echo; no configuration describes one, so patch it in
+        # first echo
         src = SourceParams(pair_probability=0.01)
-        with mock.patch.object(photons, "_comb_transmission", return_value=0.0), \
-                mock.patch.object(photons, "_echo_efficiencies",
-                                  return_value=(1.0, 0.0, 0.0)):
-            hist = simulate_run(src, paper_memory(), None, 1_000_000, seed=3)
+        with _ideal_memory():
+            hist = simulate_run(src, dataclasses.replace(paper_memory(), decay_time=0.0),
+                                None, 1_000_000, seed=3)
         cats = dict(hist.category_counts)
         assert cats["transmitted"] == 0
         assert cats["dark"] == 0 and cats["background"] == 0
@@ -336,6 +354,24 @@ class TestSimulateRun:
         assert cats["echo1"] > 10 * cats["transmitted"]
         assert cats["transmitted"] > 0
 
+    @pytest.mark.parametrize("memory", [None, paper_memory()], ids=["no memory", "memory"])
+    def test_transmitted_photon_stays_diagonal_through_the_analyzer(self, memory):
+        # a D, A or H analyzer passes the diagonal transmitted photon with
+        # probability P = 1, 0 or 1/2, mixed with the crossed-polarizer
+        # leakage eps
+        src = SourceParams(pair_probability=0.01)
+        open_cum = _fate_table(src, memory, None)[1]
+        eps = 1.0 / (1.0 + src.extinction_ratio)
+        for bloch, p, want in [((1.0, 0.0, 0.0), 1.0, 0.999001),
+                               ((-1.0, 0.0, 0.0), 0.0, 0.000999),
+                               ((0.0, 0.0, 1.0), 0.5, 0.5)]:
+            analyzer = DensityMatrix.from_bloch(*bloch)
+            assert born_probability(DensityMatrix.from_bloch(1.0, 0.0, 0.0),
+                                    analyzer) == pytest.approx(p, abs=1e-15)
+            passed = _fate_table(src, memory, analyzer)[1][0] / open_cum[0]
+            assert passed == pytest.approx((1.0 - eps) * p + eps * (1.0 - p), abs=1e-12)
+            assert passed == pytest.approx(want, abs=5e-7)
+
     @pytest.mark.parametrize("phase0", [0.0, 0.7, math.pi, 5.0])
     def test_fate_table_projects_each_echo_through_the_analyzer(self, phase0):
         # echo k carries the beat phase 2 pi delta k/Delta + phase0 between
@@ -345,13 +381,13 @@ class TestSimulateRun:
         src = SourceParams(pair_probability=0.01)
         mem = dataclasses.replace(paper_memory(125 * NS), decay_time=0.0,
                                   excitation=ExcitationState(5e6, phase0))
-        orders, open_cum, _, _ = _fate_table(src, mem, None)
+        labels, open_cum, _, _ = _fate_table(src, mem, None)
         _, d_cum, _, _ = _fate_table(src, mem, DensityMatrix.from_bloch(1.0, 0.0, 0.0))
         p_polar = np.diff(d_cum, prepend=0.0) / np.diff(open_cum, prepend=0.0)
         eps = 1.0 / (1.0 + src.extinction_ratio)
         passed = [1.0] + [math.cos(math.pi * 5e6 * k / mem.comb.periodicity_delta
-                                   + phase0 / 2.0) ** 2 for k in orders]
-        assert orders == (1, 2, 3)
+                                   + phase0 / 2.0) ** 2 for k in (1, 2, 3)]
+        assert labels == ("transmitted", "echo1", "echo2", "echo3", "dark", "background")
         assert p_polar == pytest.approx([(1.0 - eps) * p + eps * (1.0 - p) for p in passed],
                                         abs=1e-12)
 
@@ -602,9 +638,9 @@ class TestHeraldFirst:
         # 125; clipping click times into their own period would pile
         # them into bin 99
         src = SourceParams(pair_probability=0.01, trial_period=200 * NS)
-        with mock.patch.object(photons, "_comb_transmission", return_value=0.0), \
-                mock.patch.object(photons, "_echo_efficiencies", return_value=(1.0,)):
-            hist = simulate_run(src, paper_memory(250 * NS), None, 1_000_000, seed=3)
+        with _ideal_memory():
+            hist = simulate_run(src, dataclasses.replace(paper_memory(250 * NS), decay_time=0.0),
+                                None, 1_000_000, seed=3)
         cats = dict(hist.category_counts)
         assert cats["echo1"] == hist.total()
         first_periods = int(hist.counts[:200].sum())
