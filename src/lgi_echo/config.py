@@ -114,14 +114,13 @@ class PhysicsConfig:
         try:
             return MemoryConfig(
                 comb=comb,
-                excitation=self.excitation(),
                 storage_time=self.storage_time,
                 photon_fwhm=self.photon_fwhm,
                 decay_time=self.decay_time,
                 retrieval_prefactor=self.retrieval_prefactor,
             )
         except Exception as exc:
-            # the memory and excitation fields it names are physics keys
+            # the memory fields it names are physics keys
             raise ConfigurationError(f"physics.{exc}") from exc
 
 
@@ -380,7 +379,7 @@ def _check_scenario(config: ScenarioConfig) -> None:
                     f"physics.{exc}: {point} programs a {1e-6 / t:g} MHz grating"
                 ) from exc
             try:
-                _fate_table(config.source, memory_t, None)
+                _fate_table(config.source, memory_t)
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     "physics.tooth_fwhm, physics.optical_depth, "

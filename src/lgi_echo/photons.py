@@ -1,13 +1,14 @@
 """Heralded-photon source, memory round trip and coincidence analysis.
 
 Simulates the full counting experiment: a pulsed pair source heralds
-single photons, the signal photon is stored in the polarization-
-dependent comb and retrieved at an echo order, a polarization analyzer
-projects it, and detectors with dark counts and broadband readout
-background produce timestamped clicks.  Coincidence histograms fold the clicks against
-the heralds over neighbouring trial periods; the cross-correlation
-g2 compares the zero-lag window with satellite windows one or more
-periods away.
+single photons, the signal photon is stored in the comb and retrieved
+at an echo order, and detectors with dark counts and broadband readout
+background produce timestamped clicks.  No polarizer sits in the
+signal arm; the D/A projection of the stored excitation is modelled in
+closed form by `lgi.conditional_probability`.  Coincidence histograms
+fold the clicks against the heralds over neighbouring trial periods;
+the cross-correlation g2 compares the zero-lag window with satellite
+windows one or more periods away.
 
 Trials are generated in chunks whose length follows from the source
 alone, a power-of-two multiple of 2^22 trials sized so each chunk draws
@@ -40,8 +41,6 @@ import numpy as np
 
 from .afc import _ECHO_FWHM_FACTOR, _SIGMA_TO_FWHM, CombSpec, echo_efficiency
 from .errors import ConfigurationError, DomainError, InvariantViolation, UndefinedEstimateError
-from .lgi import ExcitationState, state_at
-from .quantum import DensityMatrix, born_probability
 from ._rng import stream, STREAM_FATES, STREAM_NOISE, STREAM_PIPELINE
 
 # Fewest trials per generation chunk.  Fixed: chunk boundaries define
@@ -81,9 +80,6 @@ BIN_WIDTH = 2e-9
 # FWHM of a signal photon's wave packet, unless a memory sets another.
 PHOTON_FWHM = 5e-9
 
-# the (H+V)/sqrt(2) input polarization of a signal photon
-_DIAGONAL = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -101,7 +97,6 @@ class SourceParams:
     background_rate: float = 0.0
     trial_period: float = 400e-9
     statistics: str = "bernoulli"
-    extinction_ratio: float = 1000.0
 
     def __post_init__(self):
         p = self.pair_probability
@@ -131,25 +126,21 @@ class SourceParams:
             raise ConfigurationError(
                 f"statistics must be 'bernoulli' or 'thermal', got {self.statistics!r}"
             )
-        if self.extinction_ratio <= 0.0:
-            raise ConfigurationError("extinction_ratio must be positive")
 
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Polarization-dependent comb plus the delocalized-excitation
-    parameters.
+    """Comb memory and the retrieval of a stored signal photon.
 
-    comb is the comb pattern one polarization sees; the other sees the
-    same pattern shifted by excitation.detuning, and the phase between
-    the two is carried by the excitation.  The photon enters diagonally
-    polarized.  decay_time adds an exp(-t/decay_time) factor to the
-    retrieval efficiency standing in for slow dephasing processes the
-    comb model does not resolve; 0 disables it.
+    comb is the comb pattern the H polarization sees, center_offset
+    below the photon carrier; the V comb is the same pattern as far
+    above it, so the two are 2 * |center_offset| apart.  decay_time adds
+    an exp(-t/decay_time) factor to the retrieval efficiency standing in
+    for slow dephasing processes the comb model does not resolve; 0
+    disables it.
     """
 
     comb: CombSpec
-    excitation: ExcitationState
     storage_time: float
     photon_fwhm: float = PHOTON_FWHM
     decay_time: float = 0.0
@@ -209,7 +200,6 @@ def paper_memory(storage_time: float = 125e-9) -> MemoryConfig:
             background_depth=0.05,
             center_offset=-2.5e6,
         ),
-        excitation=ExcitationState(detuning=5e6),
         storage_time=125e-9,
         decay_time=150e-9,
     )
@@ -440,7 +430,7 @@ def _windows(heralds: np.ndarray, reach: int, size: int):
     last = heralds[-1] if heralds.size else -1
     base = np.empty(firsts.size + 2, dtype=np.int64)
     base[0] = reach
-    np.take(slots, firsts, out=base[1:-1])
+    np.take(slots, firsts, out=base[1:-1], mode="clip")
     base[-1] = slots[-1] + min(reach + 1, size - last) + reach
     # firsts index the steps, which start one before the heralds
     bounds = np.concatenate(([1], firsts, [heralds.size + 1]))
@@ -484,6 +474,13 @@ def _merge_heralds(real: np.ndarray, pairs: np.ndarray, false: np.ndarray):
     return heralds, herald_pairs, 1 + is_real.view(np.uint8)
 
 
+def _flags(n: int, dtype=np.bool_) -> np.ndarray:
+    """n uninitialised one-byte entries backed by at least 1 KiB: numpy
+    caches freed blocks under 1 KiB for good, so masks of random length
+    pinned new blocks between a run's large arrays and the heap crept."""
+    return np.empty(max(n, 1024), dtype=dtype)[:n]
+
+
 def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int, mask,
                 herald_pos, herald_pairs, cum_probs, centers, sigmas):
     """Slot, category and click time of each click of the photons of a
@@ -498,7 +495,9 @@ def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int
     """
     local, mult = _unheralded_pairs(rng, source, int(ends[-1]))
     pos = _slots_at(local, ends, reach)
-    fresh = mask[pos] != 2
+    # mode="clip" (no index is out of range) keeps take from buffering
+    held = np.take(mask, pos, out=_flags(pos.size, np.uint8), mode="clip")
+    fresh = np.not_equal(held, 2, out=_flags(pos.size))
     photon_pos = np.repeat(np.concatenate((herald_pos, pos[fresh])),
                            np.concatenate((herald_pairs, mult[fresh])))
     u = rng.random(photon_pos.size)
@@ -509,8 +508,9 @@ def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int
     # the category is the number of cumulative probabilities at or
     # below u, counted path by path rather than searched click by click
     cat = np.zeros(u.size, dtype=np.int64)
+    above = _flags(u.size)
     for edge in cum_probs[:-1]:
-        cat += u >= edge
+        cat += np.greater_equal(u, edge, out=above)
     times = rng.standard_normal(cat.size) * sigmas[cat] + centers[cat]
     # Strictly positive: mass pinned at exactly 0.0 would sit on a
     # histogram bin boundary and fold inconsistently across periods.
@@ -527,44 +527,43 @@ def _fold(pos, times, cats, mask, period: float, bin_width: float,
     click at in-trial time t pairs with every herald up to max_lag
     slots back; a herald m slots back gives the delay t + m * period,
     binned as floor(delay / bin_width), and out-of-range bins are
-    dropped.  The caller lays the slots out so that those are exactly
-    the heralds up to max_lag trials back (see _windows).  Returns
-    n_cats * n_bins int64 counts, category-major.
+    dropped through a spill bin at each end of every category, not a
+    mask of the hits (see _flags).  The caller lays the slots out so
+    that those are exactly the heralds up to max_lag trials back (see
+    _windows).  Returns n_cats * n_bins int64 counts, category-major.
     """
     lags = np.arange(max_lag + 1)
     # entry m * n + i of the lag-major gather is click i against the
     # slot m back, so the hits come lag by lag
-    hit = np.flatnonzero(mask[pos - lags[:, None]] != 0)
+    hit = np.flatnonzero(mask[pos - lags[:, None]])
     lag = np.repeat(lags, np.diff(np.searchsorted(hit, lags * pos.size), append=hit.size))
     click = hit - lag * pos.size
     delay = lag * period + times[click]
     delay /= bin_width
-    # truncation is the floor wherever delay >= 0
-    idx = delay.astype(np.int64)
-    ok = (delay >= 0.0) & (idx < n_bins)
-    return np.bincount(cats[click[ok]] * n_bins + idx[ok], minlength=n_cats * n_bins)
+    # the floor, with bins -1 and n_bins spilling to the ends of each row
+    idx = np.clip(np.floor(delay, out=delay), -1.0, n_bins, out=delay).astype(np.int64)
+    idx += cats[click] * (n_bins + 2) + 1
+    rows = np.bincount(idx, minlength=n_cats * (n_bins + 2)).reshape(n_cats, n_bins + 2)
+    return rows[:, 1:-1].ravel()
 
 
-def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
-                analyzer: Optional[DensityMatrix]):
+def _fate_table(source: SourceParams, memory: Optional[MemoryConfig]):
     """The click categories of a run and, per click path, the cumulative
     click probability, mean delay and delay spread of a signal photon.
 
-    A photon leaves by one path: transmitted, at delay 0 and still
-    diagonal, with the comb's transmission (1 without a memory), or
-    re-emitted at echo order k, at delay k/Delta with the echo
-    efficiency and the polarization the excitation stored for k/Delta.
-    The orders run from 1 to the highest that fits in a trial period, at
-    most 3 but at least the signal order.  Every path then passes the
-    analyzer, which leaks blocked light at 1/(1 + extinction_ratio), and
-    the transmission chain.  The labels name the paths in order, then
-    the dark and background clicks.
+    A photon leaves by one path: transmitted, at delay 0, with the
+    comb's transmission (1 without a memory), or re-emitted at echo
+    order k, at delay k/Delta with the echo efficiency.  The orders run
+    from 1 to the highest that fits in a trial period, at most 3 but at
+    least the signal order.  Every path then passes the transmission
+    chain.  The labels name the paths in order, then the dark and
+    background clicks.
     """
     if memory is None:
-        paths = [("transmitted", 1.0, 0.0, _DIAGONAL)]
+        paths = [("transmitted", 1.0, 0.0)]
         sigmas = [PHOTON_FWHM / _SIGMA_TO_FWHM]
     else:
-        paths = [("transmitted", _comb_transmission(memory.comb), 0.0, _DIAGONAL)]
+        paths = [("transmitted", _comb_transmission(memory.comb), 0.0)]
         delta = memory.comb.periodicity_delta
         highest = max(min(3, int(math.floor(source.trial_period * delta))), memory.signal_order)
         for k in range(1, highest + 1):
@@ -572,27 +571,19 @@ def _fate_table(source: SourceParams, memory: Optional[MemoryConfig],
             eff = echo_efficiency(memory.comb, t_k, prefactor=memory.retrieval_prefactor)
             if memory.decay_time > 0.0:
                 eff *= math.exp(-t_k / memory.decay_time)
-            paths.append((f"echo{k}", eff, t_k, state_at(memory.excitation, t_k)))
+            paths.append((f"echo{k}", eff, t_k))
         sigma_in = memory.photon_fwhm / _SIGMA_TO_FWHM
         echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb.bandwidth
         sigmas = [sigma_in] + [math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)] * highest
-    labels, probs, delays, polarizations = zip(*paths)
+    labels, probs, delays = zip(*paths)
     if sum(probs) > 1.0 + 1e-9:
         raise ConfigurationError(
             f"transmitted plus retrieved probability {sum(probs):.4g} exceeds 1"
         )
 
     eta_chain = source.transmission_signal * source.detector_efficiency
-    leak = 1.0 / (1.0 + source.extinction_ratio)
-    click_probs = []
-    for prob, polarization in zip(probs, polarizations):
-        passed = 1.0
-        if analyzer is not None:
-            born = born_probability(polarization, analyzer)
-            passed = (1.0 - leak) * born + leak * (1.0 - born)
-        click_probs.append(prob * eta_chain * passed)
-    return (labels + ("dark", "background"), np.cumsum(click_probs), np.array(delays),
-            np.array(sigmas))
+    return (labels + ("dark", "background"), np.cumsum(np.array(probs) * eta_chain),
+            np.array(delays), np.array(sigmas))
 
 
 def _noise_clicks(rng: np.random.Generator, source: SourceParams, ends: np.ndarray,
@@ -654,10 +645,11 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
     rng = stream(seed, STREAM_NOISE, index)
     false = rng.integers(0, size, rng.poisson(size * period * source.dark_rate))
     heralds, pairs, marks = _merge_heralds(real, pairs, false)
+    del real
     lengths, bounds, slots = _windows(heralds, reach, size)
     # from here on the slots stand for the heralds
     n_heralds, tail = heralds.size, heralds[heralds >= size - reach]
-    del real, heralds
+    del heralds
     rng_fates = stream(seed, STREAM_FATES, index)
     counts = np.zeros(len(labels) * n_bins, dtype=np.int64)
     for a in range(0, lengths.size, _PIECES):
@@ -675,22 +667,28 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
                         reach, len(labels))
         if a == 0:
             # the first piece starts at trial 0 and slot reach
-            first = pos < 2 * reach
+            first = np.less(pos, 2 * reach, out=_flags(pos.size))
             head = pos[first], times[first], cats[first]
     return (counts, n_heralds, tail, *head)
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
-                 analyzer: Optional[DensityMatrix], duration_trials: int,
+                 analyzer: None, duration_trials: int,
                  seed: int, noise_periods: int = 8, workers: int = 1,
                  run_index: int = 0) -> CoincidenceHistogram:
     """End-to-end counting simulation of one configuration.
 
-    memory=None sends every signal photon down the transmitted path;
-    analyzer=None removes the polarizer.  The histogram covers
-    (noise_periods + 1) trial periods of click-herald delay in bins of
-    BIN_WIDTH.
+    memory=None sends every signal photon down the transmitted path.
+    The histogram covers (noise_periods + 1) trial periods of
+    click-herald delay in bins of BIN_WIDTH.
+
+    analyzer must be None.  The signal arm has no polarizer; the slot
+    stays so that callers passing None positionally ahead of
+    duration_trials keep working, and anything else raises DomainError
+    rather than being ignored.
     """
+    if analyzer is not None:
+        raise DomainError("simulate_run models no polarizer: analyzer must be None")
     if duration_trials < 1:
         raise DomainError("duration_trials must be >= 1")
     if duration_trials > MAX_TRIALS:
@@ -705,7 +703,7 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     length = min(_chunk_trials(source, noise_periods), duration_trials)
     n_chunks = -(-duration_trials // length)
     period = source.trial_period
-    labels, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
+    labels, cum_probs, centers, sigmas = _fate_table(source, memory)
     n_cats = len(labels)
     n_bins = int(round((noise_periods + 1) * period / BIN_WIDTH))
 
@@ -823,8 +821,7 @@ def storage_histograms(source: SourceParams, memory: MemoryConfig,
                        storage_times: Sequence[float], seed: int,
                        duration_trials: int,
                        workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
-    """One coincidence histogram per storage time of storage_memories,
-    without an analyzer.
+    """One coincidence histogram per storage time of storage_memories.
 
     Run i uses run_index i.  With several workers the runs go side by
     side, up to one per worker, and each splits its chunks over its

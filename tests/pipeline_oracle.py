@@ -26,12 +26,12 @@ class OracleRun:
     category_counts: Tuple[Tuple[str, int], ...]
 
 
-def simulate_per_trial(source, memory, analyzer, n_trials, seed,
+def simulate_per_trial(source, memory, n_trials, seed,
                        noise_periods=8) -> OracleRun:
     rng = np.random.default_rng(seed)
     period = source.trial_period
     p, eta = source.pair_probability, source.heralding_efficiency
-    labels, cum_probs, centers, sigmas = _fate_table(source, memory, analyzer)
+    labels, cum_probs, centers, sigmas = _fate_table(source, memory)
 
     if source.statistics == "bernoulli":
         pairs = (rng.random(n_trials) < p).astype(np.int64)

@@ -113,6 +113,7 @@ class TestValidation:
         ("output", "dir"),
         ("source", "trials_per_cycle"),
         ("source", "cycle_rate"),
+        ("source", "extinction_ratio"),
     ])
     def test_unknown_section_key_named_by_path(self, section, key):
         with pytest.raises(ConfigurationError,
@@ -186,9 +187,8 @@ class TestPhysicsConfig:
         assert phys.comb().center_offset == -2.5e6
 
     def test_memory_detuning_matches_comb_offsets(self):
-        mem = PhysicsConfig(detuning=2e6).memory()
-        assert mem.excitation.detuning == 2e6
-        assert mem.comb.center_offset == -1e6
+        physics = PhysicsConfig(detuning=2e6)
+        assert physics.memory().comb.center_offset == -physics.detuning / 2
 
     @pytest.mark.parametrize("field,value", [
         ("detuning", 0.0),
