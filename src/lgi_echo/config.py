@@ -27,9 +27,8 @@ from .photons import (
     MAX_TRIALS,
     MemoryConfig,
     SourceParams,
-    _fate_table,
+    click_model,
     paper_source,
-    signal_window,
     storage_memories,
 )
 from .quantum import Channel
@@ -361,10 +360,10 @@ def _check_scenario(config: ScenarioConfig) -> None:
     document that validates also runs.
 
     Each check runs for its own scenario only: g2_vs_storage programs a
-    memory per storage time and its fate table, and each signal window
-    must close within the trial period, because a click pairs only with
-    the heralds of its own and earlier trials; echo_trace needs a comb
-    of more than one tooth, or the trace has no echo.
+    memory and a click model (which the run reuses) per storage time,
+    and each signal window must close within the trial period, as a
+    click pairs only with the heralds of its own and earlier trials;
+    echo_trace needs a comb of more than one tooth, or has no echo.
     """
     physics = config.physics
     if config.scenario == "g2_vs_storage":
@@ -379,13 +378,13 @@ def _check_scenario(config: ScenarioConfig) -> None:
                     f"physics.{exc}: {point} programs a {1e-6 / t:g} MHz grating"
                 ) from exc
             try:
-                _fate_table(config.source, memory_t)
+                model = click_model(config.source, memory_t)
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     "physics.tooth_fwhm, physics.optical_depth, "
                     "physics.background_depth and physics.retrieval_prefactor "
                     f"give {point}: {exc}") from exc
-            end = signal_window(memory_t)[1]
+            end = model.signal_window[1]
             if end >= config.source.trial_period:
                 raise ConfigurationError(
                     f"source.trial_period {config.source.trial_period:g} s must exceed "

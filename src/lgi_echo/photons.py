@@ -35,6 +35,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +81,9 @@ BIN_WIDTH = 2e-9
 # FWHM of a signal photon's wave packet, unless a memory sets another.
 PHOTON_FWHM = 5e-9
 
+# Click models click_model keeps: a g2_vs_storage sweep needs four.
+_CLICK_MODELS = 32
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -118,10 +122,10 @@ class SourceParams:
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name}={v} outside [0, 1]")
         for name in ("dark_rate", "background_rate"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.trial_period <= 0.0:
-            raise ConfigurationError("trial_period must be positive")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
+        if not 0.0 < self.trial_period < math.inf:
+            raise ConfigurationError("trial_period must be positive and finite")
         if self.statistics not in ("bernoulli", "thermal"):
             raise ConfigurationError(
                 f"statistics must be 'bernoulli' or 'thermal', got {self.statistics!r}"
@@ -147,8 +151,8 @@ class MemoryConfig:
     retrieval_prefactor: float = 0.15
 
     def __post_init__(self):
-        if self.storage_time <= 0.0:
-            raise ConfigurationError("storage_time must be positive")
+        if not 0.0 < self.storage_time < math.inf:
+            raise ConfigurationError("storage_time must be positive and finite")
         delta = self.comb.periodicity_delta
         order = round(self.storage_time * delta)
         if order < 1 or abs(self.storage_time - order / delta) > 0.05 / delta:
@@ -156,10 +160,10 @@ class MemoryConfig:
                 f"storage_time {self.storage_time} is not close to an echo "
                 f"order of the {delta} Hz comb"
             )
-        if self.photon_fwhm <= 0.0:
-            raise ConfigurationError("photon_fwhm must be positive")
-        if self.decay_time < 0.0:
-            raise ConfigurationError("decay_time must be >= 0")
+        if not 0.0 < self.photon_fwhm < math.inf:
+            raise ConfigurationError("photon_fwhm must be positive and finite")
+        if not 0.0 <= self.decay_time < math.inf:
+            raise ConfigurationError("decay_time must be finite and >= 0")
         if not 0.0 < self.retrieval_prefactor <= 1.0:
             raise ConfigurationError("retrieval_prefactor must be in (0, 1]")
 
@@ -247,6 +251,8 @@ class CoincidenceHistogram:
                 "signal_window must have positive width shorter than one period")
         if self.n_heralds < 0 or self.n_trials < 1:
             raise InvariantViolation("n_heralds must be >= 0 and n_trials >= 1")
+        if self.category_counts and sum(n for _, n in self.category_counts) != c.sum():
+            raise InvariantViolation("category_counts must sum to the histogram total")
         object.__setattr__(self, "counts", c)
 
     def total(self) -> int:
@@ -296,13 +302,66 @@ class G2Result:
 # derived physics
 # ---------------------------------------------------------------------------
 
-def signal_window(memory: Optional[MemoryConfig]) -> Tuple[float, float]:
-    """Click-herald delays g2 counts as signal: the transmitted pulse
-    without a memory, else the retrieved echo around storage_time."""
+@dataclass(frozen=True)
+class ClickModel:
+    """Where a signal photon's clicks land, and which delays g2 counts.
+
+    labels name the click categories: the photon paths in order, then
+    the dark and background clicks.  Per photon path, cum_probs holds
+    the cumulative click probability, centers the mean delay and sigmas
+    the delay spread.  signal_window is the click-herald delay range g2
+    counts as signal.
+    """
+
+    labels: Tuple[str, ...]
+    cum_probs: Tuple[float, ...]
+    centers: Tuple[float, ...]
+    sigmas: Tuple[float, ...]
+    signal_window: Tuple[float, float]
+
+
+@lru_cache(maxsize=_CLICK_MODELS)
+def click_model(source: SourceParams, memory: Optional[MemoryConfig]) -> ClickModel:
+    """The click model of a source and memory, cached, so that parse time
+    and every run of the same pair share one.
+
+    A photon leaves by one path: transmitted, at delay 0, with the
+    comb's transmission (1 without a memory), or re-emitted at echo
+    order k, at delay k/Delta with the echo efficiency.  The orders run
+    from 1 to the highest that fits in a trial period, at most 3 but at
+    least the signal order.  Every path then passes the transmission
+    chain.  The signal window is the transmitted pulse without a
+    memory, else the retrieved echo around storage_time.
+    """
     if memory is None:
-        return (0.0, TRANSMITTED_WINDOW)
-    half = RETRIEVED_WINDOW / 2.0
-    return (memory.storage_time - half, memory.storage_time + half)
+        paths = [("transmitted", 1.0, 0.0)]
+        sigmas = [PHOTON_FWHM / _SIGMA_TO_FWHM]
+        window = (0.0, TRANSMITTED_WINDOW)
+    else:
+        paths = [("transmitted", _comb_transmission(memory.comb), 0.0)]
+        delta = memory.comb.periodicity_delta
+        highest = max(min(3, int(math.floor(source.trial_period * delta))), memory.signal_order)
+        for k in range(1, highest + 1):
+            t_k = k / delta
+            eff = echo_efficiency(memory.comb, t_k, prefactor=memory.retrieval_prefactor)
+            if memory.decay_time > 0.0:
+                eff *= math.exp(-t_k / memory.decay_time)
+            paths.append((f"echo{k}", eff, t_k))
+        sigma_in = memory.photon_fwhm / _SIGMA_TO_FWHM
+        echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb.bandwidth
+        sigmas = [sigma_in] + [math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)] * highest
+        half = RETRIEVED_WINDOW / 2.0
+        window = (memory.storage_time - half, memory.storage_time + half)
+    labels, probs, delays = zip(*paths)
+    if sum(probs) > 1.0 + 1e-9:
+        raise ConfigurationError(
+            f"transmitted plus retrieved probability {sum(probs):.4g} exceeds 1"
+        )
+
+    eta_chain = source.transmission_signal * source.detector_efficiency
+    return ClickModel(labels + ("dark", "background"),
+                      tuple(np.cumsum(np.array(probs) * eta_chain).tolist()),
+                      delays, tuple(sigmas), window)
 
 
 def _comb_transmission(spec: CombSpec) -> float:
@@ -482,7 +541,7 @@ def _flags(n: int, dtype=np.bool_) -> np.ndarray:
 
 
 def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int, mask,
-                herald_pos, herald_pairs, cum_probs, centers, sigmas):
+                herald_pos, herald_pairs, model: ClickModel):
     """Slot, category and click time of each click of the photons of a
     group of window pieces.
 
@@ -503,15 +562,16 @@ def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int
     u = rng.random(photon_pos.size)
     # index arrays, not boolean masks: a photon clicks about as often as
     # not, and boolean selection slows on such a mask
-    clicked = np.flatnonzero(u < cum_probs[-1])
+    clicked = np.flatnonzero(u < model.cum_probs[-1])
     u = u[clicked]
     # the category is the number of cumulative probabilities at or
     # below u, counted path by path rather than searched click by click
     cat = np.zeros(u.size, dtype=np.int64)
     above = _flags(u.size)
-    for edge in cum_probs[:-1]:
+    for edge in model.cum_probs[:-1]:
         cat += np.greater_equal(u, edge, out=above)
-    times = rng.standard_normal(cat.size) * sigmas[cat] + centers[cat]
+    times = (rng.standard_normal(cat.size) * np.array(model.sigmas)[cat]
+             + np.array(model.centers)[cat])
     # Strictly positive: mass pinned at exactly 0.0 would sit on a
     # histogram bin boundary and fold inconsistently across periods.
     np.maximum(times, 1e-12, out=times)
@@ -545,45 +605,6 @@ def _fold(pos, times, cats, mask, period: float, bin_width: float,
     idx += cats[click] * (n_bins + 2) + 1
     rows = np.bincount(idx, minlength=n_cats * (n_bins + 2)).reshape(n_cats, n_bins + 2)
     return rows[:, 1:-1].ravel()
-
-
-def _fate_table(source: SourceParams, memory: Optional[MemoryConfig]):
-    """The click categories of a run and, per click path, the cumulative
-    click probability, mean delay and delay spread of a signal photon.
-
-    A photon leaves by one path: transmitted, at delay 0, with the
-    comb's transmission (1 without a memory), or re-emitted at echo
-    order k, at delay k/Delta with the echo efficiency.  The orders run
-    from 1 to the highest that fits in a trial period, at most 3 but at
-    least the signal order.  Every path then passes the transmission
-    chain.  The labels name the paths in order, then the dark and
-    background clicks.
-    """
-    if memory is None:
-        paths = [("transmitted", 1.0, 0.0)]
-        sigmas = [PHOTON_FWHM / _SIGMA_TO_FWHM]
-    else:
-        paths = [("transmitted", _comb_transmission(memory.comb), 0.0)]
-        delta = memory.comb.periodicity_delta
-        highest = max(min(3, int(math.floor(source.trial_period * delta))), memory.signal_order)
-        for k in range(1, highest + 1):
-            t_k = k / delta
-            eff = echo_efficiency(memory.comb, t_k, prefactor=memory.retrieval_prefactor)
-            if memory.decay_time > 0.0:
-                eff *= math.exp(-t_k / memory.decay_time)
-            paths.append((f"echo{k}", eff, t_k))
-        sigma_in = memory.photon_fwhm / _SIGMA_TO_FWHM
-        echo_fwhm = _ECHO_FWHM_FACTOR / memory.comb.bandwidth
-        sigmas = [sigma_in] + [math.hypot(sigma_in, echo_fwhm / _SIGMA_TO_FWHM)] * highest
-    labels, probs, delays = zip(*paths)
-    if sum(probs) > 1.0 + 1e-9:
-        raise ConfigurationError(
-            f"transmitted plus retrieved probability {sum(probs):.4g} exceeds 1"
-        )
-
-    eta_chain = source.transmission_signal * source.detector_efficiency
-    return (labels + ("dark", "background"), np.cumsum(np.array(probs) * eta_chain),
-            np.array(delays), np.array(sigmas))
 
 
 def _noise_clicks(rng: np.random.Generator, source: SourceParams, ends: np.ndarray,
@@ -626,7 +647,7 @@ def _chunk_trials(source: SourceParams, noise_periods: int) -> int:
 
 
 def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reach: int,
-                    labels, cum_probs, centers, sigmas, n_bins: int):
+                    model: ClickModel, n_bins: int):
     """All the work of one chunk of size trials, in its own trial numbers.
 
     Real heralds come from the chunk's pipeline stream; false heralds,
@@ -651,7 +672,8 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
     n_heralds, tail = heralds.size, heralds[heralds >= size - reach]
     del heralds
     rng_fates = stream(seed, STREAM_FATES, index)
-    counts = np.zeros(len(labels) * n_bins, dtype=np.int64)
+    n_cats = len(model.labels)
+    counts = np.zeros(n_cats * n_bins, dtype=np.int64)
     for a in range(0, lengths.size, _PIECES):
         ends = np.cumsum(lengths[a:a + _PIECES])
         lo, hi = bounds[a], bounds[min(a + _PIECES, lengths.size)]
@@ -660,11 +682,10 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
         mask = np.zeros(ends[-1] + reach * ends.size, dtype=np.uint8)
         mask[herald_pos] = marks[lo:hi]
         parts = [_fate_chunk(rng_fates, source, ends, reach, mask, herald_pos, pairs[lo:hi],
-                             cum_probs, centers, sigmas)]
-        parts += _noise_clicks(rng, source, ends, reach, labels.index("dark"))
+                             model)]
+        parts += _noise_clicks(rng, source, ends, reach, model.labels.index("dark"))
         pos, times, cats = map(np.concatenate, zip(*parts))
-        counts += _fold(pos, times, cats, mask, period, BIN_WIDTH, n_bins,
-                        reach, len(labels))
+        counts += _fold(pos, times, cats, mask, period, BIN_WIDTH, n_bins, reach, n_cats)
         if a == 0:
             # the first piece starts at trial 0 and slot reach
             first = np.less(pos, 2 * reach, out=_flags(pos.size))
@@ -703,14 +724,14 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     length = min(_chunk_trials(source, noise_periods), duration_trials)
     n_chunks = -(-duration_trials // length)
     period = source.trial_period
-    labels, cum_probs, centers, sigmas = _fate_table(source, memory)
-    n_cats = len(labels)
+    model = click_model(source, memory)
+    n_cats = len(model.labels)
     n_bins = int(round((noise_periods + 1) * period / BIN_WIDTH))
 
     def chunk(c):
         return _simulate_chunk(source, seed, base_index | c,
                                min(length, duration_trials - c * length), noise_periods,
-                               labels, cum_probs, centers, sigmas, n_bins)
+                               model, n_bins)
 
     folded = np.zeros(n_cats * n_bins, dtype=np.int64)
     n_heralds = 0
@@ -738,12 +759,12 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
     return CoincidenceHistogram(
         bin_width=BIN_WIDTH,
         counts=total,
-        signal_window=signal_window(memory),
+        signal_window=model.signal_window,
         period=period,
         noise_periods=noise_periods,
         n_heralds=n_heralds,
         n_trials=duration_trials,
-        category_counts=tuple(zip(labels, per_cat)),
+        category_counts=tuple(zip(model.labels, per_cat)),
     )
 
 

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from fold_oracle import fold_coincidences
-from lgi_echo.photons import BIN_WIDTH, _fate_table
+from lgi_echo.photons import BIN_WIDTH, click_model
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,9 @@ def simulate_per_trial(source, memory, n_trials, seed,
     rng = np.random.default_rng(seed)
     period = source.trial_period
     p, eta = source.pair_probability, source.heralding_efficiency
-    labels, cum_probs, centers, sigmas = _fate_table(source, memory)
+    model = click_model(source, memory)
+    labels = model.labels
+    centers, sigmas = np.array(model.centers), np.array(model.sigmas)
 
     if source.statistics == "bernoulli":
         pairs = (rng.random(n_trials) < p).astype(np.int64)
@@ -43,7 +45,7 @@ def simulate_per_trial(source, memory, n_trials, seed,
     herald[pair_trials[rng.random(pair_trials.size) < eta]] = 1
     herald[rng.poisson(source.dark_rate * period, n_trials) > 0] = 1
 
-    cat = np.searchsorted(cum_probs, rng.random(pair_trials.size), side="right")
+    cat = np.searchsorted(model.cum_probs, rng.random(pair_trials.size), side="right")
     clicked = cat < centers.size
     cat = cat[clicked]
     trials = [pair_trials[clicked]]

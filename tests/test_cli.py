@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lgi_echo
-from lgi_echo import scenarios
+from lgi_echo import photons, scenarios
 from lgi_echo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from lgi_echo.config import parse_config
 from lgi_echo.photons import MAX_TRIALS
@@ -195,6 +195,19 @@ class TestRun:
                      "--out", str(tmp_path / "out"),
                      "--workers", "2"]) == EXIT_OK
         assert (tmp_path / "out" / "g2.csv").exists()
+
+    def test_each_swept_memory_builds_its_click_model_once(self, tmp_path, capsys):
+        # parse time and the run share the model of each of the four
+        # storage times
+        path = write_config(tmp_path, {
+            "scenario": "g2_vs_storage",
+            "source": {"pair_probability": 0.1, "statistics": "thermal"},
+            "statistics": {"trials": 1_000_000}})
+        photons.click_model.cache_clear()
+        assert main(["run", "g2_vs_storage", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        info = photons.click_model.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
 
     def test_default_config_is_paper_preset(self, tmp_path, capsys):
         assert main(["run", "tomography_demo",

@@ -28,7 +28,6 @@ from lgi_echo.config import STORAGE_TIMES, PhysicsConfig, parse_config
 from lgi_echo.photons import (
     _CHUNK,
     _chunk_trials,
-    _fate_table,
     _fold,
     _heralded_pairs,
     _occupied,
@@ -37,6 +36,7 @@ from lgi_echo.photons import (
     MAX_TRIALS,
     RETRIEVED_WINDOW,
     TRANSMITTED_WINDOW,
+    ClickModel,
     CoincidenceHistogram,
     G2Result,
     MemoryConfig,
@@ -102,6 +102,12 @@ class TestSourceParams:
         {"pair_probability": -0.1, "statistics": "thermal"},
         {"pair_probability": math.inf, "statistics": "thermal"},
         {"pair_probability": math.nan, "statistics": "thermal"},
+        {"trial_period": math.nan},
+        {"trial_period": math.inf},
+        {"dark_rate": math.nan},
+        {"dark_rate": math.inf},
+        {"background_rate": math.nan},
+        {"background_rate": math.inf},
         # the pair-number ratio p/(1+p) rounds to 1
         {"pair_probability": 1e16, "statistics": "thermal"},
         {"pair_probability": 1e17, "statistics": "thermal"},
@@ -147,6 +153,12 @@ class TestMemoryConfig:
         {"retrieval_prefactor": 0.0},
         {"retrieval_prefactor": 1.5},
         {"storage_time": -125 * NS},
+        {"storage_time": math.nan},
+        {"storage_time": math.inf},
+        {"photon_fwhm": math.nan},
+        {"photon_fwhm": math.inf},
+        {"decay_time": math.nan},
+        {"decay_time": math.inf},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -174,6 +186,14 @@ class TestCoincidenceHistogram:
                 bin_width=BIN, counts=np.zeros(400, dtype=np.int64),
                 signal_window=window, period=PERIOD, noise_periods=1,
                 n_heralds=0, n_trials=1,
+            )
+
+    def test_category_counts_must_sum_to_the_total(self):
+        with pytest.raises(InvariantViolation, match="category_counts"):
+            CoincidenceHistogram(
+                bin_width=BIN, counts=np.zeros(400, dtype=np.int64),
+                signal_window=(0.0, TRANSMITTED_WINDOW), period=PERIOD, noise_periods=1,
+                n_heralds=0, n_trials=1, category_counts=(("x", 5),),
             )
 
     @pytest.mark.parametrize("storage_time", [0.0, 50 * NS, 50e-9, 125e-9, 250e-9])
@@ -263,10 +283,15 @@ class TestHeraldedBound:
 def _ideal_memory():
     """Patch in a memory that passes nothing and retrieves everything in
     its first echo; no configuration describes one."""
-    return mock.patch.multiple(
-        photons, _comb_transmission=lambda comb: 0.0,
-        echo_efficiency=lambda comb, t, prefactor: float(
-            round(t * comb.periodicity_delta) == 1))
+    build = photons.click_model
+
+    def ideal(source, memory):
+        model = build(source, memory)
+        eta = source.transmission_signal * source.detector_efficiency
+        return dataclasses.replace(
+            model, cum_probs=(0.0,) + (eta,) * (len(model.cum_probs) - 1))
+
+    return mock.patch.object(photons, "click_model", ideal)
 
 
 class TestSimulateRun:
@@ -636,9 +661,9 @@ class TestChunkSizing:
             sizes = []
             chunk = photons._simulate_chunk
 
-            def spy(source, seed, index, size, *args):
+            def spy(source, seed, index, size, reach, model, n_bins):
                 sizes.append((index, size))
-                return chunk(source, seed, index, size, *args)
+                return chunk(source, seed, index, size, reach, model, n_bins)
 
             with mock.patch.object(photons, "_simulate_chunk", spy):
                 simulate_run(src, None, None, n_trials, seed=1, workers=workers)
@@ -830,8 +855,9 @@ class TestHeraldFold:
             # every photon clicks, in the transmitted category
             pos, times, cats = photons._fate_chunk(
                 np.random.default_rng(0), SourceParams(pair_probability=0.5), ends, reach,
-                mask, herald_pos, herald_pairs, np.array([1.0]), np.array([0.0]),
-                np.array([1e-9]))
+                mask, herald_pos, herald_pairs,
+                ClickModel(("transmitted", "dark", "background"), (1.0,), (0.0,), (1e-9,),
+                           (0.0, TRANSMITTED_WINDOW)))
         # the real herald's trial keeps its own 2 pairs only; the false
         # herald's trial holds the 7 drawn for it, like any other trial
         assert pos.tolist() == [3, 3] + [5] * 7 + [6]
