@@ -45,10 +45,13 @@ STREAM_SCENARIO = 8
 # power-of-two multiple), draws each chunk's false heralds and then its
 # dark and background clicks from its own STREAM_NOISE stream, always
 # fates the first noise_periods trials of a chunk, and no longer clips
-# click times to their own trial period.
-STREAM_LAYOUT = 8
+# click times to their own trial period; layout 9 draws a chunk's herald
+# detector dark counts on its STREAM_PIPELINE stream, in the same pass as
+# its real heralds (every trial that heralds at all, then which of them
+# are real), and no longer sorts the noise click positions.
+STREAM_LAYOUT = 9
 
-_MAX_SEED = 2**63 - 1
+MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1
 
 
@@ -58,7 +61,7 @@ def stream(seed: int, stream_id: int, index: int = 0) -> np.random.Generator:
     The same triple always yields the same draw sequence, independent of
     any other stream that may have been consumed before.
     """
-    if not 0 <= int(seed) <= _MAX_SEED:
+    if not 0 <= int(seed) <= MAX_SEED:
         raise DomainError(f"seed must be in [0, 2**63), got {seed}")
     if not 0 <= int(index) <= _MAX_INDEX:
         raise DomainError(f"stream index must fit in 32 bits, got {index}")

@@ -68,6 +68,10 @@ class CombSpec:
     center_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("periodicity_delta", "tooth_fwhm", "bandwidth", "optical_depth",
+                     "background_depth", "center_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.periodicity_delta <= 0.0:
             raise ConfigurationError("periodicity_delta must be positive")
         if not 0.0 <= self.tooth_fwhm < self.periodicity_delta:

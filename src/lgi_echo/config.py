@@ -32,7 +32,7 @@ from .photons import (
     storage_memories,
 )
 from .quantum import Channel
-from ._rng import STREAM_LAYOUT
+from ._rng import MAX_SEED, STREAM_LAYOUT
 
 SCENARIOS = (
     "lgi_envelope",
@@ -123,6 +123,10 @@ class PhysicsConfig:
             raise ConfigurationError(f"physics.{exc}") from exc
 
 
+# Largest count a scenario can draw: numpy draws counts as int64.
+_INT64_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class StatisticsConfig:
     """Sample sizes and seeding.
@@ -140,11 +144,11 @@ class StatisticsConfig:
     probe_time: float = 62.5e-9
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigurationError("statistics.seed must be >= 0")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigurationError(f"statistics.seed must be in [0, {MAX_SEED}]")
         for name in ("counts_per_point", "shots_per_basis"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"statistics.{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= _INT64_MAX:
+                raise ConfigurationError(f"statistics.{name} must be in [0, {_INT64_MAX}]")
         if self.n_bootstrap < 2:
             raise ConfigurationError(
                 "statistics.n_bootstrap must be >= 2: a bootstrap sigma needs "

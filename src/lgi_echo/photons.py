@@ -15,16 +15,18 @@ alone, a power-of-two multiple of 2^22 trials sized so each chunk draws
 about the same number of events, with per-chunk random streams, so any
 worker partition of the trial range produces the same clicks.  The
 pipeline works herald first, so its cost scales with heralds, not
-trials: each chunk draws the geometric gaps between its heralded
-trials, and only the trials up to noise_periods after a herald, whose
-clicks alone can pair with one, draw their other pairs, the photon
-fates and the dark and background clicks.  These window pieces are
-laid end to end, one slot per trial, with noise_periods empty slots
-before each, and a herald mask over that layout stands in for searches
-of the heralds: a real herald's slot drops the pairs drawn there as
-unheralded, and the fold pairs each click with the heralds marked up
-to noise_periods slots back.  So the mask grows with the heralds, not
-with the trials.
+trials.  A trial heralds once, through one of its pairs or a dark
+count of the herald detector, so a chunk's pipeline stream draws the
+gaps between its heralded trials, which heralds are real and their
+pairs.  Only the trials up to noise_periods after a herald, whose
+clicks alone can pair with one, draw their other pairs and the photon
+fates (fates stream) and the dark and background clicks (noise stream).
+These window pieces are laid end to end, one slot per trial, with
+noise_periods empty slots before each, and a herald mask over that
+layout stands in for searches of the heralds: a real herald's slot
+drops the pairs drawn there as unheralded, and the fold pairs each
+click with the heralds marked up to noise_periods slots back.  So the
+mask grows with the heralds, not with the trials.
 Each chunk folds its clicks against its own heralds and hands back a
 partial histogram; only the clicks of its first noise_periods trials
 are paired with the heralds of the chunks before, so a run holds one
@@ -416,25 +418,47 @@ def _geometric0(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
     return rng.geometric(1.0 - s, size) - 1
 
 
-def _heralded_pairs(rng: np.random.Generator, source: SourceParams, size: int):
-    """Sorted trials in [0, size) that herald, and the pairs each holds.
+def _herald_probabilities(source: SourceParams) -> Tuple[float, float]:
+    """Probabilities (real, any) that a trial heralds through one of its
+    pairs, each heralding with probability eta, and that it heralds at all.
 
-    A trial heralds when any of its pairs does, each with probability
-    eta.  A Bernoulli trial holds one pair, so it heralds with
-    probability p * eta.  A thermal trial, P(n) = (1 - r) r^n with
-    r = p/(1+p), heralds with probability p*eta/(1+p*eta); walking its
-    pairs in order, the unheralded pairs before the first heralded one
-    number G(r(1-eta)) and, by memorylessness, those after it G(r).
+    A Bernoulli trial holds one pair, so real = p * eta; a thermal trial,
+    P(n) = (1 - r) r^n with r = p/(1+p), gives real = p*eta/(1+p*eta).
+    A herald detector dark count, independent of the pairs, heralds too.
     """
     p, eta = source.pair_probability, source.heralding_efficiency
+    real = p * eta if source.statistics == "bernoulli" else p * eta / (1.0 + p * eta)
+    # 1 - (1 - real) exp(-dT), exactly real without dark counts
+    return real, real - (1.0 - real) * math.expm1(-source.dark_rate * source.trial_period)
+
+
+def _heralds(rng: np.random.Generator, source: SourceParams, size: int):
+    """Sorted trials in [0, size) that herald, the pairs each holds and
+    its mask mark: 2 for a real herald, 1 for a dark count of the herald
+    detector alone, which holds no pair of its own.
+
+    A trial heralds with probability any (see _herald_probabilities) and
+    a herald is real with probability real/any, drawn only when there are
+    dark counts.  A real Bernoulli herald holds one pair.  Walking a real
+    thermal herald's pairs in order, the unheralded pairs before the
+    first heralded one number G(r(1-eta)) and, by memorylessness, those
+    after it G(r).
+    """
+    p, eta = source.pair_probability, source.heralding_efficiency
+    real, herald = _herald_probabilities(source)
+    trials = _occupied(rng, size, herald)
+    is_real = rng.random(trials.size) * herald < real if source.dark_rate > 0.0 else None
+    n_real = trials.size if is_real is None else int(np.count_nonzero(is_real))
     if source.statistics == "bernoulli":
-        local = _occupied(rng, size, p * eta)
-        return local, np.ones(local.size, dtype=np.int64)
-    r = p / (1.0 + p)
-    local = _occupied(rng, size, p * eta / (1.0 + p * eta))
-    mult = (1 + _geometric0(rng, r * (1.0 - eta), local.size)
-            + _geometric0(rng, r, local.size))
-    return local, mult
+        pairs = np.ones(n_real, dtype=np.int64)
+    else:
+        r = p / (1.0 + p)
+        pairs = 1 + _geometric0(rng, r * (1.0 - eta), n_real) + _geometric0(rng, r, n_real)
+    if is_real is None:
+        return trials, pairs, np.full(trials.size, 2, dtype=np.uint8)
+    herald_pairs = np.zeros(trials.size, dtype=np.int64)
+    herald_pairs[is_real] = pairs
+    return trials, herald_pairs, 1 + is_real.view(np.uint8)
 
 
 def _unheralded_pairs(rng: np.random.Generator, source: SourceParams, size: int):
@@ -507,32 +531,6 @@ def _slots_at(draws: np.ndarray, ends: np.ndarray, reach: int) -> np.ndarray:
     return draws + reach * (np.searchsorted(ends, draws, side="right") + 1)
 
 
-def _merge_heralds(real: np.ndarray, pairs: np.ndarray, false: np.ndarray):
-    """Sorted union of the real heralds and the false ones, with the
-    pairs each holds and its mask mark: 2 for a real herald, 1 for a
-    false herald in a trial no real one heralds.  A false herald holds
-    no pair of its own."""
-    if false.size == 0:
-        return real, pairs, np.full(real.size, 2, dtype=np.uint8)
-    false = np.sort(false)
-    # a false herald in a real herald's trial, or in another false
-    # herald's, adds nothing
-    false = false[np.diff(false, prepend=-1) != 0]
-    at = np.searchsorted(real, false)
-    taken = at < real.size
-    taken[taken] = real[at[taken]] == false[taken]
-    new = ~taken
-    places = at[new] + np.arange(np.count_nonzero(new))
-    is_real = np.ones(real.size + places.size, dtype=bool)
-    is_real[places] = False
-    heralds = np.empty(is_real.size, dtype=np.int64)
-    heralds[places] = false[new]
-    heralds[is_real] = real
-    herald_pairs = np.zeros(is_real.size, dtype=np.int64)
-    herald_pairs[is_real] = pairs
-    return heralds, herald_pairs, 1 + is_real.view(np.uint8)
-
-
 def _flags(n: int, dtype=np.bool_) -> np.ndarray:
     """n uninitialised one-byte entries backed by at least 1 KiB: numpy
     caches freed blocks under 1 KiB for good, so masks of random length
@@ -546,7 +544,7 @@ def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int
     group of window pieces.
 
     The pieces hold ends[-1] trials (see _slots_at), and mask marks the
-    heralds in the group's layout (see _merge_heralds).  The heralds in
+    heralds in the group's layout (see _heralds).  The heralds in
     slots herald_pos come with the pairs drawn with them; the other
     trials of the pieces draw theirs here, given that none heralded, and
     draws landing on a real herald's trial are dropped.  A click may
@@ -612,16 +610,13 @@ def _noise_clicks(rng: np.random.Generator, source: SourceParams, ends: np.ndarr
     """Dark, then background, click parts inside a group of window
     pieces, at their slots in its layout (see _slots_at).
 
-    No click outside the pieces pairs with a herald.  Positions are
-    sorted before the times are drawn, because the stream layout pairs
-    each time with a sorted position.
+    No click outside the pieces pairs with a herald.
     """
     size = int(ends[-1])
     parts = []
     for k, rate in enumerate((source.dark_rate, source.background_rate)):
         n = rng.poisson(rate * source.trial_period * size)
-        positions = np.sort(rng.integers(0, size, n))
-        parts.append((_slots_at(positions, ends, reach),
+        parts.append((_slots_at(rng.integers(0, size, n), ends, reach),
                       rng.random(n) * source.trial_period,
                       np.full(n, first_cat + k, dtype=np.int64)))
     return parts
@@ -635,9 +630,8 @@ def _chunk_trials(source: SourceParams, noise_periods: int) -> int:
     dark and background clicks drawn in the trials up to noise_periods
     after a herald.  No chunk is shorter than _CHUNK, whatever the load.
     """
-    p, eta, period = source.pair_probability, source.heralding_efficiency, source.trial_period
-    real = p * eta if source.statistics == "bernoulli" else p * eta / (1.0 + p * eta)
-    herald = 1.0 - (1.0 - real) * math.exp(-source.dark_rate * period)
+    p, period = source.pair_probability, source.trial_period
+    herald = _herald_probabilities(source)[1]
     window = 1.0 - (1.0 - herald) ** (noise_periods + 1)
     per_trial = herald + window * (p + (source.dark_rate + source.background_rate) * period)
     length = _CHUNK
@@ -650,11 +644,13 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
                     model: ClickModel, n_bins: int):
     """All the work of one chunk of size trials, in its own trial numbers.
 
-    Real heralds come from the chunk's pipeline stream; false heralds,
-    then dark and background clicks, from its noise stream; pairs and
-    fates from its fates stream.  Each group of _PIECES window pieces is
-    laid out with reach empty slots before every piece, and one mask
-    over that layout marks its heralds for both the fates and the fold.
+    The chunk's pipeline stream draws its heralds, real ones and herald
+    detector dark counts alike, and the pairs of the real ones; its
+    fates stream the other pairs and the photon fates; its noise stream
+    the signal detector's dark and background clicks.  Each group of
+    _PIECES window pieces is laid out with reach empty slots before every
+    piece, and one mask over that layout marks its heralds for both the
+    fates and the fold.
     Returns the flat counts of its clicks paired with its heralds, its
     herald count, its heralds in the last reach trials, and its
     (positions, times, categories) clicks in the first reach trials,
@@ -662,16 +658,13 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
     there is its trial plus reach.
     """
     period = source.trial_period
-    real, pairs = _heralded_pairs(stream(seed, STREAM_PIPELINE, index), source, size)
-    rng = stream(seed, STREAM_NOISE, index)
-    false = rng.integers(0, size, rng.poisson(size * period * source.dark_rate))
-    heralds, pairs, marks = _merge_heralds(real, pairs, false)
-    del real
+    heralds, pairs, marks = _heralds(stream(seed, STREAM_PIPELINE, index), source, size)
     lengths, bounds, slots = _windows(heralds, reach, size)
     # from here on the slots stand for the heralds
     n_heralds, tail = heralds.size, heralds[heralds >= size - reach]
     del heralds
     rng_fates = stream(seed, STREAM_FATES, index)
+    rng_noise = stream(seed, STREAM_NOISE, index)
     n_cats = len(model.labels)
     counts = np.zeros(n_cats * n_bins, dtype=np.int64)
     for a in range(0, lengths.size, _PIECES):
@@ -683,7 +676,7 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
         mask[herald_pos] = marks[lo:hi]
         parts = [_fate_chunk(rng_fates, source, ends, reach, mask, herald_pos, pairs[lo:hi],
                              model)]
-        parts += _noise_clicks(rng, source, ends, reach, model.labels.index("dark"))
+        parts += _noise_clicks(rng_noise, source, ends, reach, model.labels.index("dark"))
         pos, times, cats = map(np.concatenate, zip(*parts))
         counts += _fold(pos, times, cats, mask, period, BIN_WIDTH, n_bins, reach, n_cats)
         if a == 0:

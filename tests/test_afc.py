@@ -1,5 +1,6 @@
 """Comb sampling, echo emission and retrieval efficiency."""
 
+import dataclasses
 import math
 import warnings
 
@@ -59,6 +60,21 @@ class TestCombSpec:
     def test_background_must_stay_below_depth(self):
         with pytest.raises(ConfigurationError):
             CombSpec(8 * MHZ, 2 * MHZ, 100 * MHZ, optical_depth=0.04, background_depth=0.05)
+
+    @pytest.mark.parametrize("changes", [
+        {"bandwidth": math.nan},
+        {"center_offset": math.nan},
+        {"center_offset": math.inf},
+        {"center_offset": -math.inf},
+        {"optical_depth": math.inf},
+        {"background_depth": math.nan},
+        {"tooth_fwhm": math.nan},
+        {"periodicity_delta": math.inf, "bandwidth": math.inf},
+    ])
+    def test_non_finite_fields_rejected(self, changes):
+        # each once constructed, or failed later with a raw numpy error
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            dataclasses.replace(PAPER_COMB, **changes)
 
     def test_paper_comb_counts_13_teeth(self):
         # the 100 MHz envelope holds teeth at 0, +-8, ..., +-48 MHz

@@ -80,6 +80,22 @@ class TestValidate:
                                        "statistics": {"trials": MAX_TRIALS}})
         assert main(["validate", "--config", path]) == EXIT_OK
 
+    @pytest.mark.parametrize("scenario, key", [
+        ("lgi_envelope", "seed"),
+        ("lgi_envelope", "counts_per_point"),
+        ("tomography_demo", "shots_per_basis"),
+    ])
+    def test_statistics_past_int64_exit_2(self, tmp_path, capsys, scenario, key):
+        # each once validated and then exited 3 at run with an overflow
+        path = write_config(tmp_path, {"scenario": scenario, "defaults": "paper",
+                                       "statistics": {key: 2**63}})
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert f"statistics.{key}" in capsys.readouterr().err
+        # the largest int64 is a valid value
+        path = write_config(tmp_path, {"scenario": scenario, "defaults": "paper",
+                                       "statistics": {key: 2**63 - 1}})
+        assert main(["validate", "--config", path]) == EXIT_OK
+
     @pytest.mark.parametrize("n_bootstrap", [0, 1])
     def test_too_few_bootstrap_replicates_exit_2(self, tmp_path, capsys, n_bootstrap):
         # a single replicate gives a nan sigma at every time
@@ -279,6 +295,15 @@ class TestRun:
         assert main(["run", "lgi_envelope", "--config", path,
                      "--seed", "-4"]) == EXIT_CONFIG
         assert "statistics.seed" in capsys.readouterr().err
+
+    def test_seed_override_past_the_stream_key_exits_2(self, tmp_path, capsys):
+        # it once ran and exited 3 when the run built its first stream
+        path = write_config(tmp_path, FAST_ENVELOPE)
+        out = tmp_path / "out"
+        assert main(["run", "lgi_envelope", "--config", path, "--out", str(out),
+                     "--seed", str(2**63)]) == EXIT_CONFIG
+        assert "statistics.seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

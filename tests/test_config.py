@@ -257,8 +257,11 @@ class TestPhysicsConfig:
 class TestSections:
     @pytest.mark.parametrize("field,value", [
         ("seed", -1),
+        ("seed", 2**63),
         ("counts_per_point", -5),
+        ("counts_per_point", 2**63),
         ("shots_per_basis", -1),
+        ("shots_per_basis", 2**63),
         ("trials", 0),
         ("n_bootstrap", -1),
         ("n_bootstrap", 0),

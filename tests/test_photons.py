@@ -29,7 +29,7 @@ from lgi_echo.photons import (
     _CHUNK,
     _chunk_trials,
     _fold,
-    _heralded_pairs,
+    _heralds,
     _occupied,
     _unheralded_pairs,
     _windows,
@@ -478,7 +478,7 @@ class TestSkipSampling:
         p, eta = src.pair_probability, src.heralding_efficiency
         r = p / (1.0 + p)
         mult = np.concatenate([
-            _heralded_pairs(stream(5, STREAM_PIPELINE, c), src, 1 << 16)[1]
+            _heralds(stream(5, STREAM_PIPELINE, c), src, 1 << 16)[1]
             for c in range(8)])
         ns = np.arange(1, 60)
         law = (1.0 - r) * r ** ns * (1.0 - (1.0 - eta) ** ns) * (1.0 + p * eta) / (p * eta)
@@ -506,6 +506,42 @@ class TestSkipSampling:
         assert mult.min() >= 1
         assert _chi2_pvalue(observed, expected) > 1e-3
         assert np.count_nonzero(mult > 16) > 0
+
+    @pytest.mark.parametrize("statistics", ["bernoulli", "thermal"])
+    def test_heralds_real_and_dark_at_the_per_trial_law(self, statistics):
+        # heavy herald dark counts, dT = 0.4: a trial heralds for real
+        # with probability q and through a dark count alone with
+        # probability (1 - q)(1 - exp(-dT))
+        src = SourceParams(pair_probability=0.05, heralding_efficiency=0.3,
+                           dark_rate=1e6, statistics=statistics)
+        size, n = 1 << 16, 8
+        marks = np.concatenate([_heralds(stream(6, STREAM_PIPELINE, c), src, size)[2]
+                                for c in range(n)])
+        pe = src.pair_probability * src.heralding_efficiency
+        q = pe if statistics == "bernoulli" else pe / (1.0 + pe)
+        dark = (1.0 - q) * -math.expm1(-src.dark_rate * src.trial_period)
+        observed = [n * size - marks.size, np.count_nonzero(marks == 1),
+                    np.count_nonzero(marks == 2)]
+        expected = n * size * np.array([1.0 - q - dark, dark, q])
+        assert _chi2_pvalue(observed, expected) > 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(statistics=st.sampled_from(["bernoulli", "thermal"]),
+           p=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0),
+           dark_rate=st.sampled_from([0.0, 1e4, 1e6, 1e8]),
+           size=st.integers(1, 2000), seed=st.integers(0, 2**32))
+    def test_heralds_are_sorted_marked_and_paired(self, statistics, p, eta, dark_rate,
+                                                 size, seed):
+        src = SourceParams(pair_probability=p, heralding_efficiency=eta,
+                           dark_rate=dark_rate, statistics=statistics)
+        trials, pairs, marks = _heralds(stream(seed, STREAM_PIPELINE), src, size)
+        assert trials.size == pairs.size == marks.size
+        assert np.all(np.diff(trials) > 0)
+        assert trials.size == 0 or (trials[0] >= 0 and trials[-1] < size)
+        assert set(marks.tolist()) <= ({1, 2} if dark_rate else {2})
+        # a real herald holds its pairs, a dark count alone none
+        assert np.array_equal(pairs >= 1, marks == 2)
+        assert np.all(pairs[marks == 1] == 0)
 
     def test_thermal_run_independent_of_workers(self):
         src = SourceParams(pair_probability=0.1, statistics="thermal")
@@ -696,6 +732,9 @@ _PINNED_RUN = {
     # layout 8 draws false heralds and noise clicks per chunk and fates
     # the first noise_periods trials of every chunk
     8: "632a41955faf3cb9aba90ce9b323b020cfb8f9fae0f790fdfbf4fbca3ba39eda",
+    # layout 9 draws the herald dark counts with the real heralds and
+    # leaves the noise click positions unsorted
+    9: "efd073dcd54cf7903d0de7b3676fcd89ce92d0aeecdd7ae91ca4a4d956847bfa",
 }
 
 
@@ -727,6 +766,13 @@ _PINNED_RUNS = {
         "noisy bernoulli": "5cc49530b187d33e4424388d285bdea36738ec984c05228554d132393e0939c7",
         "paper point, 250 ns": "c6e93b6773780e0b6f3a84d160b0f7e7e14c7b12c40c3dac08c9f647169b8ef4",
         "17-trial chunks": "49f8921f9e858884aaf89cf49867ab6432982d960ec8ea2c8d554c568b3a38c3",
+    },
+    # a run with neither dark counts nor background draws as at layout 8
+    9: {
+        "dense thermal": "2ab96fe5df38a926ae08318c382f38f151cf1fe7c0ac67de3658640c05c6b341",
+        "noisy bernoulli": "11a6cd042354cc5425286abebf38cbe02d786457ffba7be54a2224f5b1af429c",
+        "paper point, 250 ns": "5da5f266e0e0714c3e78bdcbc94f359eeaf92b8cf905e0f5f8eea04679208c79",
+        "17-trial chunks": "6665a6c8a591147a686934127720c862f4f3abc3fa81341fb502938b92f5664f",
     },
 }
 
@@ -863,26 +909,6 @@ class TestHeraldFold:
         assert pos.tolist() == [3, 3] + [5] * 7 + [6]
         assert np.all(cats == 0) and np.all(times > 0.0)
 
-    @pytest.mark.parametrize("real, false", [
-        ([2, 5, 9], [5, 0, 9, 7, 7]),
-        ([], [4, 4, 1]),
-        ([3, 8], []),
-        ([0, 1, 2], [0, 1, 2, 2]),
-    ])
-    def test_false_heralds_merge_into_real_ones(self, real, false):
-        real = np.array(real, dtype=np.int64)
-        pairs = np.arange(1, real.size + 1, dtype=np.int64)
-        heralds, herald_pairs, marks = photons._merge_heralds(
-            real, pairs, np.array(false, dtype=np.int64))
-        # a trial heralds once; a false herald in a real herald's trial
-        # leaves it real, with its pairs
-        union = sorted(set(real.tolist()) | set(false))
-        assert heralds.tolist() == union
-        for h, n, mark in zip(heralds, herald_pairs, marks):
-            is_real = h in real
-            assert mark == (2 if is_real else 1)
-            assert n == (pairs[real.tolist().index(h)] if is_real else 0)
-
     @pytest.mark.parametrize("workers, most_held", [(1, 1), (2, 3)])
     def test_clicks_are_folded_as_chunks_are_fated(self, workers, most_held):
         # a chunk folds its clicks as it fates them and hands back only a
@@ -891,7 +917,7 @@ class TestHeraldFold:
         # most `workers` + 1 chunks are alive, the starting one included
         alive = []
         held = []
-        heralded = photons._heralded_pairs
+        heralded = photons._heralds
 
         def tracked(*args):
             held.append(1 + sum(ref() is not None for ref in alive))
@@ -901,7 +927,7 @@ class TestHeraldFold:
 
         src = SourceParams(pair_probability=0.1, statistics="thermal")
         with mock.patch.object(photons, "_chunk_trials", return_value=4096), \
-                mock.patch.object(photons, "_heralded_pairs", tracked):
+                mock.patch.object(photons, "_heralds", tracked):
             hist = simulate_run(src, paper_memory(), None, 200_000, seed=3,
                                 workers=workers)
         assert len(held) == 49 and hist.total() > 0

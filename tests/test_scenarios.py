@@ -455,6 +455,36 @@ _PINNED_ARTIFACTS = {
         "tomography_demo/summary.json":
             "768e63fd8cdbbad14ebcbff560bf6b87715a8c9a56fbc1ba8d49093538c2155e",
     },
+    # layout 9 moved the g2_vs_storage draws only: herald dark counts
+    # come with the real heralds, and noise click positions go unsorted
+    9: {
+        "echo_trace/summary.json":
+            "578dac3f84e5da16f56e6675f40a7a0eafff98bc4b206c62f472a4144ebca606",
+        "echo_trace/trace.csv":
+            "5bda5ec0474644648509ee4872943e7c71211201496991aa5d8b908dc423027a",
+        "g2_vs_storage/g2.csv":
+            "3ab0845579659c88008833ee497ab593b80f7c1847a83761d105cfd9c6b411e4",
+        "g2_vs_storage/summary.json":
+            "e1038d6d94dad799cec222e7f8ed106d074933958b0127002aee6328f67ff827",
+        "lgi_envelope/envelope.csv":
+            "e1c167d1288ae4aa9db7ac0e717a525fdfce1326a37e708d22e7453723ea51e1",
+        "lgi_envelope/summary.json":
+            "427b77cfe4690941a8562a33678b3d1731ef8933d0a2d957c792a9f3111c8e31",
+        "markovianity/distance.csv":
+            "71cf26c0560cea6d223d8ecd3f15ef5c91fc4b120b27010308e781aca03b9238",
+        "markovianity/summary.json":
+            "d6873f74aa7085d1b96875c5ea32e791edbea4f7f558948b2a47de9ac50f7de5",
+        "stationarity_grid/grid.csv":
+            "d17a59e077dfd2eacebea3547a0ba30789c3fa8e20899e4900c578ea3396a675",
+        "stationarity_grid/summary.json":
+            "8d9b2476083c3932896c99f4a631213791cfd4b0db2afa5086410544bba14b12",
+        "tomography_demo/counts.csv":
+            "43f357533e6c3be3c2eedbc4b4e591e27e9949817ad9a3a67709e9109ccdbb51",
+        "tomography_demo/reconstruction.json":
+            "6fd2e6c8ecb67f0578e8879797473306d6bc0e4955171146019e9041a512b25f",
+        "tomography_demo/summary.json":
+            "768e63fd8cdbbad14ebcbff560bf6b87715a8c9a56fbc1ba8d49093538c2155e",
+    },
 }
 
 
