@@ -20,8 +20,8 @@ STREAM_PIPELINE = 2
 STREAM_TOMOGRAPHY = 3
 STREAM_COUNTS = 4
 STREAM_BOOTSTRAP = 5
-STREAM_FATES = 6
-STREAM_NOISE = 7
+# 6 and 7 are retired: up to layout 9 they held the photon fates and the
+# noise clicks.  Never reuse them.
 STREAM_SCENARIO = 8
 
 # Version of the simulated output: which draws each consumer takes from
@@ -48,8 +48,11 @@ STREAM_SCENARIO = 8
 # click times to their own trial period; layout 9 draws a chunk's herald
 # detector dark counts on its STREAM_PIPELINE stream, in the same pass as
 # its real heralds (every trial that heralds at all, then which of them
-# are real), and no longer sorts the noise click positions.
-STREAM_LAYOUT = 9
+# are real), and no longer sorts the noise click positions; layout 10
+# sizes the chunks from 2^17 trials at a quarter of the events, and draws
+# all of a chunk's heralds, fates and noise clicks from its one
+# STREAM_PIPELINE stream over one layout of its window pieces.
+STREAM_LAYOUT = 10
 
 MAX_SEED = 2**63 - 1
 _MAX_INDEX = 2**32 - 1

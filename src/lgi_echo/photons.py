@@ -11,22 +11,22 @@ the cross-correlation g2 compares the zero-lag window with satellite
 windows one or more periods away.
 
 Trials are generated in chunks whose length follows from the source
-alone, a power-of-two multiple of 2^22 trials sized so each chunk draws
-about the same number of events, with per-chunk random streams, so any
-worker partition of the trial range produces the same clicks.  The
+alone, a power-of-two multiple of 2^17 trials sized so each chunk draws
+about the same number of events, with one random stream per chunk, so
+any worker partition of the trial range produces the same clicks.  The
 pipeline works herald first, so its cost scales with heralds, not
 trials.  A trial heralds once, through one of its pairs or a dark
-count of the herald detector, so a chunk's pipeline stream draws the
-gaps between its heralded trials, which heralds are real and their
-pairs.  Only the trials up to noise_periods after a herald, whose
-clicks alone can pair with one, draw their other pairs and the photon
-fates (fates stream) and the dark and background clicks (noise stream).
-These window pieces are laid end to end, one slot per trial, with
-noise_periods empty slots before each, and a herald mask over that
-layout stands in for searches of the heralds: a real herald's slot
-drops the pairs drawn there as unheralded, and the fold pairs each
-click with the heralds marked up to noise_periods slots back.  So the
-mask grows with the heralds, not with the trials.
+count of the herald detector, so a chunk's stream first draws the gaps
+between its heralded trials, which heralds are real and their pairs.
+Only the trials up to noise_periods after a herald, whose clicks alone
+can pair with one, then draw their other pairs and the photon fates,
+and last the dark and background clicks.  These window pieces are laid
+end to end, one slot per trial, with noise_periods empty slots before
+each, and one herald mask over the chunk's layout stands in for
+searches of the heralds: a real herald's slot drops the pairs drawn
+there as unheralded, and the fold pairs each click with the heralds
+marked up to noise_periods slots back.  So the mask grows with the
+heralds, not with the trials.
 Each chunk folds its clicks against its own heralds and hands back a
 partial histogram; only the clicks of its first noise_periods trials
 are paired with the heralds of the chunks before, so a run holds one
@@ -44,34 +44,38 @@ import numpy as np
 
 from .afc import _ECHO_FWHM_FACTOR, _SIGMA_TO_FWHM, CombSpec, echo_efficiency
 from .errors import ConfigurationError, DomainError, InvariantViolation, UndefinedEstimateError
-from ._rng import stream, STREAM_FATES, STREAM_NOISE, STREAM_PIPELINE
+from ._rng import stream, STREAM_PIPELINE
 
 # Fewest trials per generation chunk.  Fixed: chunk boundaries define
 # the random streams, so changing this reshuffles every simulated run.
-_CHUNK = 1 << 22
+_CHUNK = 1 << 17
 
-# Longest supported run: the chunk index fills the low 21 bits of each
-# stream index, the run index the bits above.  Chunks are never shorter
-# than _CHUNK, so a run has at most 2^21 of them.
-MAX_TRIALS = _CHUNK << 21
+# Longest supported run: the chunk index fills the low 26 bits of each
+# stream index, the run index the 6 bits above.  Chunks are never shorter
+# than _CHUNK, so a run has at most 2^26 of them.
+_CHUNK_BITS = 26
+MAX_TRIALS = _CHUNK << _CHUNK_BITS
+_RUNS = 1 << (32 - _CHUNK_BITS)
 
 # Expected events (heralds, photons and noise clicks) a chunk may draw.
-# A p = 0.1 thermal source draws about 0.15 per trial and keeps chunks of
-# _CHUNK trials (about 3.8e5 heralds each); the paper source, about
-# 2.3e-4 per trial, gets chunks of 2^32 trials.
-_CHUNK_EVENTS = 1 << 20
-
-# Window pieces a chunk fates and folds at once.  Each group draws its
-# own pairs, fates and noise clicks in turn, so this too is fixed.  It
-# bounds the temporaries, which the allocator then reuses from group to
-# group: a dense chunk fated and folded whole returned its 40 MB of
-# temporaries to the system and faulted them back in, over 10^5 page
-# faults and about half a second per 4e7-trial run.
-_PIECES = 1 << 14
+# Each chunk draws and folds all of its events at once, so this also
+# bounds the temporaries.  A p = 0.1 thermal source draws about 0.15 per
+# trial and gets chunks of 2^19 trials (about 2e4 window pieces each);
+# the paper source, about 2.3e-4 per trial, gets chunks of 2^29 trials.
+_CHUNK_EVENTS = 1 << 17
 
 # Chunks handed to a worker pool at once: pool.map submits every call up
-# front, about 2 KB each, or 4 GB held through a run of 2^21 chunks.
+# front, about 2 KB each, or 128 GB held through a run of 2^26 chunks.
 _POOL_SLICE = 64
+
+# Bytes of the block a run allocates and frees, untouched, before its
+# chunks.  glibc gives the free top of its heap back to the system once
+# it exceeds twice the largest block it has unmapped (up to 32 MB).  A
+# chunk frees its temporaries, about 40 bytes per expected event, all
+# at once, so without such a block each dense chunk handed them back
+# and faulted them in again: 6e4 page faults, a fifth of a 4e7-trial
+# thermal run.
+_HEAP_HINT = 64 * _CHUNK_EVENTS
 
 # Coincidence window widths (transmitted pulse / retrieved echo).
 TRANSMITTED_WINDOW = 2e-9
@@ -493,11 +497,9 @@ def _windows(heralds: np.ndarray, reach: int, size: int):
     piece, so looking up to reach slots back from a slot of a piece
     finds exactly the heralds up to reach trials back.
 
-    Returns (lengths, bounds, slots): the length of each piece, in
-    trial order; the herald indices at which the pieces begin, so that
-    heralds bounds[j] .. bounds[j + 1] - 1 lie in piece j; and the slot
-    of each herald.  Piece 0 starts at trial 0 and slot reach, and piece
-    j > 0 at herald bounds[j] and its slot.
+    Returns (lengths, slots): the length of each piece, in trial order,
+    and the slot of each herald.  Piece 0 starts at trial 0 and slot
+    reach, and every later piece at a herald and its slot.
     """
     # the heralds before the chunk act as one at trial -1, in slot reach - 1
     steps = np.diff(heralds, prepend=(-reach, -1))
@@ -508,25 +510,20 @@ def _windows(heralds: np.ndarray, reach: int, size: int):
     slots = np.cumsum(steps, out=steps)
     # the first slot of each piece, then the one past the padding after
     # the last piece, which ends where the last window does, clipped to
-    # the chunk; filled in place, as are the bounds, because a dense
-    # chunk's window arrays set the peak memory of a run
+    # the chunk
     last = heralds[-1] if heralds.size else -1
     base = np.empty(firsts.size + 2, dtype=np.int64)
     base[0] = reach
     np.take(slots, firsts, out=base[1:-1], mode="clip")
     base[-1] = slots[-1] + min(reach + 1, size - last) + reach
-    # firsts index the steps, which start one before the heralds
-    bounds = np.concatenate(([1], firsts, [heralds.size + 1]))
-    bounds -= 1
-    del firsts
     lengths = np.diff(base)
     lengths -= reach
-    return lengths, bounds, slots[1:]
+    return lengths, slots[1:]
 
 
 def _slots_at(draws: np.ndarray, ends: np.ndarray, reach: int) -> np.ndarray:
-    """Slot of each draw in [0, ends[-1]), the trials of a group of
-    pieces laid end to end, in the group's layout: piece j holds draws
+    """Slot of each draw in [0, ends[-1]), the trials of a chunk's window
+    pieces laid end to end, in the chunk's layout: piece j holds draws
     ends[j-1] .. ends[j] - 1 and follows j + 1 paddings of reach slots."""
     return draws + reach * (np.searchsorted(ends, draws, side="right") + 1)
 
@@ -541,10 +538,10 @@ def _flags(n: int, dtype=np.bool_) -> np.ndarray:
 def _fate_chunk(rng: np.random.Generator, source: SourceParams, ends, reach: int, mask,
                 herald_pos, herald_pairs, model: ClickModel):
     """Slot, category and click time of each click of the photons of a
-    group of window pieces.
+    chunk's window pieces.
 
     The pieces hold ends[-1] trials (see _slots_at), and mask marks the
-    heralds in the group's layout (see _heralds).  The heralds in
+    heralds in the chunk's layout (see _heralds).  The heralds in
     slots herald_pos come with the pairs drawn with them; the other
     trials of the pieces draw theirs here, given that none heralded, and
     draws landing on a real herald's trial are dropped.  A click may
@@ -607,7 +604,7 @@ def _fold(pos, times, cats, mask, period: float, bin_width: float,
 
 def _noise_clicks(rng: np.random.Generator, source: SourceParams, ends: np.ndarray,
                   reach: int, first_cat: int):
-    """Dark, then background, click parts inside a group of window
+    """Dark, then background, click parts inside a chunk's window
     pieces, at their slots in its layout (see _slots_at).
 
     No click outside the pieces pairs with a herald.
@@ -644,46 +641,36 @@ def _simulate_chunk(source: SourceParams, seed: int, index: int, size: int, reac
                     model: ClickModel, n_bins: int):
     """All the work of one chunk of size trials, in its own trial numbers.
 
-    The chunk's pipeline stream draws its heralds, real ones and herald
-    detector dark counts alike, and the pairs of the real ones; its
-    fates stream the other pairs and the photon fates; its noise stream
-    the signal detector's dark and background clicks.  Each group of
-    _PIECES window pieces is laid out with reach empty slots before every
-    piece, and one mask over that layout marks its heralds for both the
-    fates and the fold.
+    The chunk's one stream draws, in turn, its heralds, real ones and
+    herald detector dark counts alike, and the pairs of the real ones;
+    the other pairs and the photon fates; and the signal detector's dark
+    and background clicks.  Its window pieces are laid out with reach
+    empty slots before every piece, and one mask over that layout marks
+    its heralds for both the fates and the fold.
     Returns the flat counts of its clicks paired with its heralds, its
     herald count, its heralds in the last reach trials, and its
     (positions, times, categories) clicks in the first reach trials,
     which can pair with heralds of earlier chunks; a click's position
     there is its trial plus reach.
     """
-    period = source.trial_period
-    heralds, pairs, marks = _heralds(stream(seed, STREAM_PIPELINE, index), source, size)
-    lengths, bounds, slots = _windows(heralds, reach, size)
+    rng = stream(seed, STREAM_PIPELINE, index)
+    heralds, pairs, marks = _heralds(rng, source, size)
+    lengths, slots = _windows(heralds, reach, size)
     # from here on the slots stand for the heralds
     n_heralds, tail = heralds.size, heralds[heralds >= size - reach]
     del heralds
-    rng_fates = stream(seed, STREAM_FATES, index)
-    rng_noise = stream(seed, STREAM_NOISE, index)
+    ends = np.cumsum(lengths)
+    mask = np.zeros(ends[-1] + reach * ends.size, dtype=np.uint8)
+    mask[slots] = marks
+    parts = [_fate_chunk(rng, source, ends, reach, mask, slots, pairs, model)]
+    parts += _noise_clicks(rng, source, ends, reach, model.labels.index("dark"))
+    pos, times, cats = map(np.concatenate, zip(*parts))
     n_cats = len(model.labels)
-    counts = np.zeros(n_cats * n_bins, dtype=np.int64)
-    for a in range(0, lengths.size, _PIECES):
-        ends = np.cumsum(lengths[a:a + _PIECES])
-        lo, hi = bounds[a], bounds[min(a + _PIECES, lengths.size)]
-        # the group's layout starts reach slots before its first piece
-        herald_pos = slots[lo:hi] - (slots[lo] - reach if a else 0)
-        mask = np.zeros(ends[-1] + reach * ends.size, dtype=np.uint8)
-        mask[herald_pos] = marks[lo:hi]
-        parts = [_fate_chunk(rng_fates, source, ends, reach, mask, herald_pos, pairs[lo:hi],
-                             model)]
-        parts += _noise_clicks(rng_noise, source, ends, reach, model.labels.index("dark"))
-        pos, times, cats = map(np.concatenate, zip(*parts))
-        counts += _fold(pos, times, cats, mask, period, BIN_WIDTH, n_bins, reach, n_cats)
-        if a == 0:
-            # the first piece starts at trial 0 and slot reach
-            first = np.less(pos, 2 * reach, out=_flags(pos.size))
-            head = pos[first], times[first], cats[first]
-    return (counts, n_heralds, tail, *head)
+    counts = _fold(pos, times, cats, mask, source.trial_period, BIN_WIDTH, n_bins, reach,
+                   n_cats)
+    # the first piece starts at trial 0 and slot reach
+    first = np.less(pos, 2 * reach, out=_flags(pos.size))
+    return counts, n_heralds, tail, pos[first], times[first], cats[first]
 
 
 def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
@@ -711,9 +698,9 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
         raise DomainError("noise_periods must be >= 1")
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    if not 0 <= run_index < 2048:
-        raise DomainError("run_index must be in [0, 2048)")
-    base_index = run_index << 21
+    if not 0 <= run_index < _RUNS:
+        raise DomainError(f"run_index must be in [0, {_RUNS})")
+    base_index = run_index << _CHUNK_BITS
     length = min(_chunk_trials(source, noise_periods), duration_trials)
     n_chunks = -(-duration_trials // length)
     period = source.trial_period
@@ -726,6 +713,8 @@ def simulate_run(source: SourceParams, memory: Optional[MemoryConfig],
                                min(length, duration_trials - c * length), noise_periods,
                                model, n_bins)
 
+    # dropped at once, on purpose: see _HEAP_HINT
+    np.empty(_HEAP_HINT, dtype=np.uint8)
     folded = np.zeros(n_cats * n_bins, dtype=np.int64)
     n_heralds = 0
     # the heralds of the noise_periods trials before the chunk, in its
@@ -837,10 +826,13 @@ def storage_histograms(source: SourceParams, memory: MemoryConfig,
                        workers: int = 1) -> Tuple[CoincidenceHistogram, ...]:
     """One coincidence histogram per storage time of storage_memories.
 
-    Run i uses run_index i.  With several workers the runs go side by
-    side, up to one per worker, and each splits its chunks over its
-    share of the workers, so at most workers threads are busy.
+    Run i uses run_index i, so there are at most 64 storage times.  With
+    several workers the runs go side by side, up to one per worker, and
+    each splits its chunks over its share of the workers, so at most
+    workers threads are busy.
     """
+    if len(storage_times) > _RUNS:
+        raise DomainError(f"at most {_RUNS} storage times, got {len(storage_times)}")
     memories = storage_memories(memory, storage_times)
     side_by_side = max(1, min(workers, len(memories)))
 

@@ -257,7 +257,7 @@ def _run_markovianity(config: ScenarioConfig):
     report = markovianity_test(
         state_a, state_b, channel, _MARKOV_TIMES,
         use_tomography=tomographic,
-        shots=stats.shots_per_basis if tomographic else 10**5,
+        shots=stats.shots_per_basis,
         seed=stats.seed,
         n_bootstrap=stats.n_bootstrap,
     )

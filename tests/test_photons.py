@@ -16,7 +16,7 @@ from scipy import stats
 from fold_oracle import fold_coincidences
 from pipeline_oracle import simulate_per_trial
 from lgi_echo import photons
-from lgi_echo._rng import STREAM_FATES, STREAM_LAYOUT, STREAM_PIPELINE, stream
+from lgi_echo._rng import STREAM_LAYOUT, STREAM_PIPELINE, stream
 
 from lgi_echo.errors import (
     ConfigurationError,
@@ -369,6 +369,7 @@ class TestSimulateRun:
         {"duration_trials": 0},
         {"noise_periods": 0},
         {"workers": 0},
+        {"run_index": 64},
         {"run_index": 2048},
     ])
     def test_invalid_run_arguments_rejected(self, kwargs):
@@ -376,6 +377,12 @@ class TestSimulateRun:
         args.update(kwargs)
         with pytest.raises(DomainError):
             simulate_run(SourceParams(pair_probability=0.01), None, None, **args)
+
+    def test_last_run_index_runs(self):
+        # the run index fills the 6 bits above the 26 chunk bits
+        hist = simulate_run(SourceParams(pair_probability=0.01), None, None, 1000, seed=0,
+                            run_index=63)
+        assert hist.n_trials == 1000
 
     def test_analyzer_rejected(self):
         # the signal arm has no polarizer; one passed in must not be ignored
@@ -496,7 +503,7 @@ class TestSkipSampling:
             1.0 - src.heralding_efficiency)
         size, n = 1 << 14, 8
         mult = np.concatenate([
-            _unheralded_pairs(stream(5, STREAM_FATES, c), src, size)[1]
+            _unheralded_pairs(stream(5, STREAM_PIPELINE, c), src, size)[1]
             for c in range(n)])
         ns = np.arange(0, 50)
         observed = np.bincount(np.minimum(mult, ns[-1]), minlength=ns[-1] + 1)
@@ -586,29 +593,29 @@ class TestHeraldFirst:
     def test_windows_are_the_herald_neighbourhoods(self, size, reach, data):
         heralds = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), max_size=40))),
                            dtype=np.int64)
-        lengths, bounds, slots = _windows(heralds, reach, size)
-        # piece 0 starts at trial 0 and slot reach, every other one at
-        # its first herald and that herald's slot
-        starts = np.concatenate(([0], heralds[bounds[1:-1]]))
-        base = np.concatenate(([reach], slots[bounds[1:-1]]))
-        assert bounds[0] == 0 and bounds[-1] == heralds.size
-        assert np.all(np.diff(bounds[1:]) > 0) and np.all(lengths > 0)
+        lengths, slots = _windows(heralds, reach, size)
+        # reach empty slots before every piece
+        base = np.cumsum(lengths + reach) - lengths
+        assert base[0] == reach and np.all(lengths > 0)
+        # piece 0 starts at trial 0, every other one at the herald in its
+        # first slot
+        opens = np.searchsorted(slots, base[1:])
+        assert np.all(opens < slots.size) and np.array_equal(slots[opens], base[1:])
+        starts = np.concatenate(([0], heralds[opens]))
+        # each herald sits in its piece, one slot per trial
+        piece = np.searchsorted(base, slots, side="right") - 1
+        assert np.all(slots - base[piece] < lengths[piece])
+        assert np.array_equal(heralds - starts[piece], slots - base[piece])
         # the first reach trials can pair with heralds of earlier chunks
         dense = np.zeros(size, dtype=bool)
         dense[:reach] = True
         for h in heralds:
             dense[h:h + reach + 1] = True
         covered = np.zeros(size, dtype=int)
-        for j, (a, n) in enumerate(zip(starts, lengths)):
+        for a, n in zip(starts, lengths):
             covered[a:a + n] += 1
-            # each herald sits in its piece, one slot per trial
-            mine = heralds[bounds[j]:bounds[j + 1]]
-            assert np.all((a <= mine) & (mine < a + n))
-            assert np.array_equal(slots[bounds[j]:bounds[j + 1]], base[j] + mine - a)
         assert np.array_equal(covered, dense)
-        # reach empty slots before every piece
-        assert np.array_equal(base, np.cumsum(lengths + reach) - lengths)
-        # a group's draws land on the slots of its pieces
+        # the chunk's draws land on the slots of its pieces
         ends = np.cumsum(lengths)
         on_pieces = np.concatenate([np.arange(b, b + n) for b, n in zip(base, lengths)])
         assert np.array_equal(photons._slots_at(np.arange(ends[-1]), ends, reach), on_pieces)
@@ -679,12 +686,37 @@ class TestChunkSizing:
         k = (length // _CHUNK).bit_length() - 1
         assert length == _CHUNK << k and _CHUNK <= length <= MAX_TRIALS
 
+    @settings(max_examples=300, deadline=None)
+    @given(statistics=st.sampled_from(["bernoulli", "thermal"]),
+           p=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0),
+           dark_rate=st.sampled_from([0.0, 50.0, 1e4, 1e6]),
+           background_rate=st.sampled_from([0.0, 5e3, 1e5, 1e7]),
+           trial_period=st.sampled_from([1e-8, 2e-7, 4e-7, 1e-5]),
+           noise_periods=st.integers(1, 40))
+    def test_length_follows_the_sizing_rule(self, statistics, p, eta, dark_rate,
+                                            background_rate, trial_period, noise_periods):
+        src = SourceParams(pair_probability=p, heralding_efficiency=eta, dark_rate=dark_rate,
+                           background_rate=background_rate, trial_period=trial_period,
+                           statistics=statistics)
+        # expected events per trial: the heralds, then the pairs and noise
+        # clicks of every trial up to noise_periods after a herald
+        q = p * eta if statistics == "bernoulli" else p * eta / (1.0 + p * eta)
+        herald = 1.0 - (1.0 - q) * math.exp(-dark_rate * trial_period)
+        window = 1.0 - (1.0 - herald) ** (noise_periods + 1)
+        per_trial = herald + window * (p + (dark_rate + background_rate) * trial_period)
+        length = _chunk_trials(src, noise_periods)
+        # the largest _CHUNK << k whose events fit, or else the floor or
+        # the longest run
+        assert length == _CHUNK or length * per_trial <= photons._CHUNK_EVENTS * (1 + 1e-9)
+        assert length == MAX_TRIALS or 2 * length * per_trial > photons._CHUNK_EVENTS * (1 - 1e-9)
+
     def test_dense_and_paper_sources(self):
-        # the p = 0.1 thermal source keeps chunks of 2^22 trials; the
-        # paper source runs 2e8 trials as one chunk
+        # the two benchmark sources: a p = 0.1 thermal source gets 2^19
+        # trials per chunk; the paper source 2^29, so a 2e8-trial run is
+        # one chunk
         assert _chunk_trials(SourceParams(pair_probability=0.1, statistics="thermal"),
-                             8) == 1 << 22
-        assert _chunk_trials(paper_source(), 8) >= 200_000_000
+                             8) == 1 << 19
+        assert _chunk_trials(paper_source(), 8) == 1 << 29
         assert _chunk_trials(SourceParams(pair_probability=0.0), 8) == MAX_TRIALS
 
     @pytest.mark.parametrize("n_trials", [1, 5_000_000, 30_000_000])
@@ -735,6 +767,9 @@ _PINNED_RUN = {
     # layout 9 draws the herald dark counts with the real heralds and
     # leaves the noise click positions unsorted
     9: "efd073dcd54cf7903d0de7b3676fcd89ce92d0aeecdd7ae91ca4a4d956847bfa",
+    # layout 10 draws each chunk from one stream over one layout, in
+    # chunks of 2^17 trials or more
+    10: "acca9f3083a339851f7c53e6714933d6f67ce01242f37f926f90e2184c867982",
 }
 
 
@@ -774,10 +809,18 @@ _PINNED_RUNS = {
         "paper point, 250 ns": "5da5f266e0e0714c3e78bdcbc94f359eeaf92b8cf905e0f5f8eea04679208c79",
         "17-trial chunks": "6665a6c8a591147a686934127720c862f4f3abc3fa81341fb502938b92f5664f",
     },
+    # every run moves: the fates and noise clicks share the heralds'
+    # stream, and dense chunks are 2^19 trials long
+    10: {
+        "dense thermal": "450cc7067ac734201412ed626b4a15eda1b978b2543ec19db07fe591f4a0bfaf",
+        "noisy bernoulli": "734091c40c45362f746320b1f918b223dff158b91d925d8c497b40fa174fc5f7",
+        "paper point, 250 ns": "3cac9c6ee76c33ceaef548175df3652b5f17c945856fd82822956e9716bfac33",
+        "17-trial chunks": "0bf153d5bd88cfb40cacef7b3d0ff41b1965a52ffc253ad1270ff45bd38da7a0",
+    },
 }
 
 _PINNED_CASES = {
-    # 5e6 trials cross one 2^22-trial chunk edge
+    # 5e6 trials cross nine 2^19-trial chunk edges
     "dense thermal": lambda: simulate_run(
         SourceParams(pair_probability=0.1, statistics="thermal"), paper_memory(), None,
         5_000_000, seed=7),
@@ -972,6 +1015,14 @@ class TestG2VsStorage:
         assert all(v > 2.0 for v in values)
         assert values[0] == max(values)
         assert values[1] > values[3]
+
+    def test_more_storage_times_than_run_indices_rejected(self):
+        # storage time i runs at run_index i, and there are 64 of them
+        with mock.patch.object(photons, "simulate_run") as run, \
+                pytest.raises(DomainError, match="storage times"):
+            storage_histograms(paper_source(), paper_memory(), [125 * NS] * 65,
+                               seed=0, duration_trials=1000)
+        run.assert_not_called()
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):

@@ -485,6 +485,37 @@ _PINNED_ARTIFACTS = {
         "tomography_demo/summary.json":
             "768e63fd8cdbbad14ebcbff560bf6b87715a8c9a56fbc1ba8d49093538c2155e",
     },
+    # layout 10 moved the g2_vs_storage draws only: a chunk draws its
+    # fates and noise clicks from its heralds' stream, and a paper-point
+    # storage time runs as two chunks
+    10: {
+        "echo_trace/summary.json":
+            "578dac3f84e5da16f56e6675f40a7a0eafff98bc4b206c62f472a4144ebca606",
+        "echo_trace/trace.csv":
+            "5bda5ec0474644648509ee4872943e7c71211201496991aa5d8b908dc423027a",
+        "g2_vs_storage/g2.csv":
+            "af3dbc1e41d9e68f71e9d13f0aeef9471f3d9eee2bf8bbd8d19a1ad04c8ab160",
+        "g2_vs_storage/summary.json":
+            "987fc93efe4b966a7cd907fe29984c0eb15d595b2ee98ce97077492cfd6645ad",
+        "lgi_envelope/envelope.csv":
+            "e1c167d1288ae4aa9db7ac0e717a525fdfce1326a37e708d22e7453723ea51e1",
+        "lgi_envelope/summary.json":
+            "427b77cfe4690941a8562a33678b3d1731ef8933d0a2d957c792a9f3111c8e31",
+        "markovianity/distance.csv":
+            "71cf26c0560cea6d223d8ecd3f15ef5c91fc4b120b27010308e781aca03b9238",
+        "markovianity/summary.json":
+            "d6873f74aa7085d1b96875c5ea32e791edbea4f7f558948b2a47de9ac50f7de5",
+        "stationarity_grid/grid.csv":
+            "d17a59e077dfd2eacebea3547a0ba30789c3fa8e20899e4900c578ea3396a675",
+        "stationarity_grid/summary.json":
+            "8d9b2476083c3932896c99f4a631213791cfd4b0db2afa5086410544bba14b12",
+        "tomography_demo/counts.csv":
+            "43f357533e6c3be3c2eedbc4b4e591e27e9949817ad9a3a67709e9109ccdbb51",
+        "tomography_demo/reconstruction.json":
+            "6fd2e6c8ecb67f0578e8879797473306d6bc0e4955171146019e9041a512b25f",
+        "tomography_demo/summary.json":
+            "768e63fd8cdbbad14ebcbff560bf6b87715a8c9a56fbc1ba8d49093538c2155e",
+    },
 }
 
 
